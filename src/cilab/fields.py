@@ -31,7 +31,7 @@ _TWO_PI_I = 2.0j * np.pi
 class SpectralField:
     """Real scalar/vector/symmetric-tensor field, held spectrally."""
 
-    __slots__ = ("grid", "rank", "coeffs", "mean_zero", "_samples")
+    __slots__ = ("grid", "rank", "coeffs", "mean_zero")
 
     def __init__(self, grid: GridSpec, rank: str, coeffs: np.ndarray,
                  mean_zero: bool = False):
@@ -47,7 +47,6 @@ class SpectralField:
         self.rank = rank
         self.coeffs = coeffs
         self.mean_zero = mean_zero
-        self._samples = None  # exact grid samples when built from them
         if mean_zero:
             self.coeffs[:, 0, 0, 0] = 0.0
 
@@ -90,7 +89,6 @@ class SpectralField:
 
     def set_mode(self, k, values) -> None:
         """Set the coefficient at k (and its Hermitian partner)."""
-        self._samples = None
         kx, ky, kz = (int(v) for v in k)
         n = self.grid.n
         if max(abs(kx), abs(ky), abs(kz)) >= n // 2:
@@ -144,23 +142,13 @@ def from_grid(samples: np.ndarray, grid: GridSpec, rank: str,
         raise ValueError(
             f"sample array has shape {samples.shape}, expected {(ncomp, n, n, n)}")
     coeffs = _fft.rfftn(samples, axes=(1, 2, 3)) / grid.n**3
-    out = SpectralField(grid, rank, coeffs, mean_zero)
-    if not mean_zero:
-        out._samples = samples.copy()
-    return out
+    return SpectralField(grid, rank, coeffs, mean_zero)
 
 
 def to_grid(f: SpectralField) -> np.ndarray:
-    """Real grid samples; scalar fields come back as a bare (n,n,n) array.
-
-    Fields constructed from grid samples return those samples verbatim, so
-    the snapshot file format round-trips bit-exactly.
-    """
-    if f._samples is not None:
-        out = f._samples.copy()
-    else:
-        n = f.grid.n
-        out = _fft.irfftn(f.coeffs * n**3, s=(n, n, n), axes=(1, 2, 3))
+    """Real grid samples; scalar fields come back as a bare (n,n,n) array."""
+    n = f.grid.n
+    out = _fft.irfftn(f.coeffs * n**3, s=(n, n, n), axes=(1, 2, 3))
     return out[0] if f.rank == "scalar" else out
 
 
@@ -169,8 +157,16 @@ def to_grid(f: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dcomp(grid: GridSpec, comp: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficients of d/dx_axis, zero on the Nyquist planes |k_i| = n/2:
+    there the derivative of a real grid field has no real coefficient (the
+    modes n/2 and -n/2 alias)."""
     k = grid.wavenumbers()[axis]
-    return _TWO_PI_I * k * comp
+    out = _TWO_PI_I * k * comp
+    h = grid.nyquist
+    out[..., h, :, :] = 0.0
+    out[..., h, :] = 0.0
+    out[..., h] = 0.0
+    return out
 
 
 def differential(f: SpectralField, op: str) -> SpectralField:
@@ -282,14 +278,12 @@ def inverse_divergence(v: SpectralField) -> SpectralField:
     if v.rank != "vector3":
         raise ValueError("inverse_divergence expects a vector3 field")
     g = v.grid
-    kx, ky, kz = g.wavenumbers()
     ksq = g.k_squared().astype(float)
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    # d_j Lap^{-1} acting on component c:  mult_j * c  with
-    # mult_j = (2 pi i k_j) * (-1/(4 pi^2 |k|^2)) = -i k_j / (2 pi |k|^2)
+    lap_inv = -1.0 / (4.0 * np.pi**2 * np.where(ksq == 0, 1.0, ksq))
+
     def dinv(j, c):
-        k = (kx, ky, kz)[j]
-        return (-1j / (2.0 * np.pi)) * k / ksq_safe * c
+        """d_j Lap^{-1} c, zero on the Nyquist planes like every derivative."""
+        return _dcomp(g, lap_inv * c, j)
 
     w = [c.copy() for c in v.coeffs]
     for c in w:
@@ -467,39 +461,46 @@ def outer_sym(a: np.ndarray, b: np.ndarray, traceless: bool = False) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CILABFLD"
-_VERSION = 1
+_VERSION = 2
 _RANK_CODE = {"scalar": 0, "vector3": 1, "symtensor3x3": 2}
 _RANK_NAME = {v: k for k, v in _RANK_CODE.items()}
 
 
 def save_field(f: SpectralField, path) -> None:
-    """Write a snapshot: 64-byte header then little-endian float64 grid
-    samples, x-fastest within each component, components in order."""
-    samples = to_grid(f)
-    if f.rank == "scalar":
-        samples = samples[None]
+    """Write a snapshot: 64-byte header then the rfftn half-spectrum as
+    little-endian complex128, shape (ncomp, n, n, n//2+1) in C order.
+
+    Storing the coefficients, not grid samples, makes save -> load -> save
+    byte-identical.
+    """
     header = _MAGIC + struct.pack("<IIBB", _VERSION, f.grid.n,
                                   _RANK_CODE[f.rank], int(f.mean_zero))
     header += b"\x00" * (64 - len(header))
     with open(path, "wb") as fh:
         fh.write(header)
-        for comp in samples:
-            fh.write(np.ascontiguousarray(comp.T, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
 
 
 def load_field(path, grid: GridSpec | None = None) -> SpectralField:
+    """Read a snapshot of format version 2 (half-spectrum) or 1 (float64
+    grid samples, x-fastest within each component)."""
     with open(path, "rb") as fh:
         header = fh.read(64)
         if header[:8] != _MAGIC:
             raise ValueError("not a field snapshot file")
         version, n, rank_code, mean_zero = struct.unpack("<IIBB", header[8:18])
-        if version != _VERSION:
+        if version not in (1, 2):
             raise ValueError(f"unsupported snapshot version {version}")
         rank = _RANK_NAME[rank_code]
         ncomp = RANK_COMPONENTS[rank]
-        raw = np.frombuffer(fh.read(ncomp * n**3 * 8), dtype="<f8")
-    samples = raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1)
-    g = grid if grid is not None else GridSpec(n)
-    if g.n != n:
-        raise ValueError(f"snapshot grid {n} does not match requested {g.n}")
-    return from_grid(samples, g, rank, mean_zero=bool(mean_zero))
+        g = grid if grid is not None else GridSpec(n)
+        if g.n != n:
+            raise ValueError(f"snapshot grid {n} does not match requested {g.n}")
+        if version == 1:
+            raw = np.frombuffer(fh.read(ncomp * n**3 * 8), dtype="<f8")
+            samples = raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1)
+            return from_grid(samples, g, rank, mean_zero=bool(mean_zero))
+        shape = (ncomp, n, n, n // 2 + 1)
+        raw = np.frombuffer(fh.read(int(np.prod(shape)) * 16), dtype="<c16")
+    return SpectralField(g, rank, raw.reshape(shape).astype(complex),
+                         bool(mean_zero))

@@ -6,9 +6,14 @@ runs may override individual frequencies; inadmissible ladders are returned
 with their violated constraints listed, never rejected.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# log of the largest float: lambda_q = a^(b^q) overflows beyond it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -34,6 +39,9 @@ class ParameterLadder:
     admissible: bool = field(init=False)
     violations: list = field(init=False)
 
+    # an overflowing lambda_q is stored as inf and reported as a violation;
+    # the derived sequences then hold inf or nan, without float warnings
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __post_init__(self):
         if self.mode not in ("onsager", "cauchy"):
             raise ValueError("mode must be 'onsager' or 'cauchy'")
@@ -41,8 +49,18 @@ class ParameterLadder:
             raise ValueError("cauchy mode needs beta_bar")
         n = self.q_max + 3  # keep delta_{q+2} available at q_max
         lam = np.empty(n)
+        overflow = []
         for q in range(n):
-            lam[q] = self.overrides.get(q, float(np.ceil(self.a ** (self.b ** q))))
+            log_lam = self.b ** q * math.log(self.a) if self.a > 1 else 0.0
+            if q in self.overrides:
+                lam[q] = self.overrides[q]
+            elif log_lam > _LOG_FLOAT_MAX:
+                lam[q] = np.inf
+                overflow.append(f"(ladder) lambda_{q} = a^(b^{q}) overflows "
+                                f"float: log lambda_{q} = {log_lam:.4g} > "
+                                f"{_LOG_FLOAT_MAX:.4g}")
+            else:
+                lam[q] = float(np.ceil(self.a ** (self.b ** q)))
         delta = np.empty(n)
         delta[0] = 16.0 * lam[1] ** (3 * self.alpha)
         delta[1] = 4.0 * lam[1] ** (3 * self.alpha)
@@ -60,7 +78,7 @@ class ParameterLadder:
             varsigma[2] = self.K * delta[2]
         self.lam, self.delta, self.ell = lam, delta, ell
         self.iota, self.tau, self.varsigma = iota, tau, varsigma
-        self.violations = self._check_constraints()
+        self.violations = overflow[:1] + self._check_constraints()
         self.admissible = not self.violations
 
     @property

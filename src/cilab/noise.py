@@ -212,6 +212,10 @@ class MollifiedPath:
         if iota < 2.0 * path.dt:
             raise ValueError("kernel under-resolved in time: need "
                              f"iota >= 2*dt, got iota={iota}, dt={path.dt}")
+        if iota > path.horizon:
+            raise ValueError("kernel wider than the path: need iota <= "
+                             f"path.horizon, got iota={iota}, "
+                             f"path.horizon={path.horizon}")
         self.path = path
         self.iota = float(iota)
         n_taps = int(np.ceil(iota / path.dt))

@@ -1,5 +1,5 @@
-"""Verification harness: scaling regressions, inductive-estimate reports,
-the rigidity-side discrete energy balance, and the mollified-work gap."""
+"""Verification helpers: the ``CheckReport`` record of one measured-vs-target
+comparison, and least-squares scaling regressions on log-log axes."""
 
 from dataclasses import dataclass, asdict
 

@@ -108,6 +108,26 @@ class TestInterpolant:
         gridded = to_grid(f)[:, ::4, ::4, ::4].reshape(3, -1)
         assert np.max(np.abs(vals - gridded)) < 1e-12
 
+    def test_defaults_reproduce_band_limited_field(self):
+        f = smooth_div_free(GRID, 6, seed=7, amp=1.0)
+        interp = SpectralInterpolant(f)
+        assert (interp.nf, interp.order) == (2 * GRID.n, 6)
+        pts = np.random.default_rng(0).uniform(0, 1, size=(3, 500))
+        exact = _direct_eval(f, pts)
+        assert np.max(np.abs(interp(pts) - exact)) < 2e-5 * np.abs(exact).max()
+
+    def test_rejects_other_order(self):
+        interp = SpectralInterpolant(zeros(GRID, "vector3"), order=6)
+        pts = np.zeros((3, 4))
+        assert np.all(interp(pts, order=6) == 0.0)
+        with pytest.raises(ValueError, match="order"):
+            interp(pts, order=8)
+
+    @pytest.mark.parametrize("order", [1, 7])
+    def test_rejects_order_outside_spline_range(self, order):
+        with pytest.raises(ValueError, match="order"):
+            SpectralInterpolant(zeros(GRID, "vector3"), order=order)
+
 
 def _direct_eval(f, pts):
     n = f.grid.n

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,23 @@ from cilab import (
     to_grid,
 )
 from cilab.fields import (
-    c0_norm, dealias, divergence_defect, grid_l2_norm_squared, inner, l2_norm,
-    trace_defect, zeros,
+    SYM_SLOT, c0_norm, dealias, divergence_defect, grid_l2_norm_squared,
+    inner, l2_norm, trace_defect, zeros,
 )
 
 GRID = GridSpec(32)
+
+
+def _grid_derivative(samples, axis):
+    """d/dx_axis of real samples by numpy's FFT, Nyquist mode dropped."""
+    n = samples.shape[axis]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0
+    shape = [1, 1, 1]
+    shape[axis] = n
+    d = np.fft.ifft(2j * np.pi * k.reshape(shape)
+                    * np.fft.fft(samples, axis=axis), axis=axis)
+    return d.real
 
 
 def random_band_limited(grid, rank, kmax, seed, mean_zero=False, div_free=False):
@@ -32,6 +46,12 @@ class TestTransforms:
     def test_zero_field_round_trip(self):
         f = zeros(GRID, "scalar")
         assert np.all(to_grid(f) == 0.0)
+
+    def test_in_place_edit_reaches_the_grid(self):
+        raw = np.random.default_rng(20).standard_normal((8, 8, 8)) + 5.0
+        f = from_grid(raw, GridSpec(8), "scalar")
+        f.coeffs[0, 0, 0, 0] = 0.0
+        assert abs(to_grid(f).mean()) < 1e-14
 
     def test_single_mode_coefficients(self):
         x = GRID.mesh()[0]
@@ -170,6 +190,19 @@ class TestInverseDivergence:
         r = inverse_divergence(zeros(GRID, "vector3"))
         assert c0_norm(r) == 0.0
 
+    def test_right_inverse_of_div_off_band(self):
+        # T from samples that are not band-limited has Nyquist-plane modes;
+        # the grid divergence of R(div T) must still be div T
+        raw = np.random.default_rng(21).standard_normal((6, 16, 16, 16))
+        target = differential(from_grid(raw, GridSpec(16), "symtensor3x3"),
+                              "div")
+        r = to_grid(inverse_divergence(target))
+        full = [[r[SYM_SLOT[(i, j)]] for j in range(3)] for i in range(3)]
+        div = np.stack([sum(_grid_derivative(full[i][j], j) for j in range(3))
+                        for i in range(3)])
+        rhs = to_grid(target)
+        assert np.max(np.abs(div - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
     def test_mean_removed_automatically(self):
         v = random_band_limited(GRID, "vector3", 6, seed=11)
         v.coeffs[:, 0, 0, 0] = [1.0, -2.0, 0.5]
@@ -255,6 +288,17 @@ class TestSnapshot:
         save_field(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert g.rank == rank
+
+    def test_reads_version_1(self, tmp_path):
+        # format 1: header, then float64 grid samples, x fastest
+        f = random_band_limited(GridSpec(8), "vector3", 3, seed=22)
+        samples = to_grid(f)
+        header = b"CILABFLD" + struct.pack("<IIBB", 1, 8, 1, 0)
+        p = tmp_path / "v1.fld"
+        p.write_bytes(header + b"\x00" * (64 - len(header)) + b"".join(
+            np.ascontiguousarray(c.T, dtype="<f8").tobytes() for c in samples))
+        assert np.array_equal(to_grid(load_field(p)), to_grid(from_grid(
+            samples, GridSpec(8), "vector3")))
 
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "x.fld"

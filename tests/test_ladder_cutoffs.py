@@ -50,6 +50,14 @@ class TestLadder:
         assert lad.varsigma[2] == pytest.approx(3.0 * lad.delta[2])
         assert lad.varsigma[3] == pytest.approx(lad.delta[3])
 
+    def test_overflow_is_a_violation(self):
+        # a^(b^6) = 2^(125 * 1.5^6) lies beyond the float range
+        lad = ladder(a=2.0**125, b=1.5, alpha=1e-4, beta=0.2, L=1, q_max=6)
+        assert not lad.admissible
+        assert any("lambda_6" in v and "overflow" in v
+                   for v in lad.violations), lad.violations
+        assert np.all(np.isfinite(lad.lam[:6])) and np.isinf(lad.lam[6])
+
     @given(st.floats(0.02, 0.32), st.floats(1.01, 1.9))
     @settings(max_examples=25, deadline=None)
     def test_ladder_never_crashes(self, beta, b):

@@ -4,7 +4,8 @@ import pytest
 from cilab import GridSpec
 from cilab.fields import c0_norm, differential, from_grid, inner, to_grid
 from cilab.noise import (
-    LowpassPath, SpectrumSpec, ito_integral, mollify_time_one_sided,
+    LowpassPath, MollifiedPath, SpectrumSpec, ito_integral,
+    mollify_time_one_sided,
     sample_path, stopping_time, trace,
 )
 
@@ -86,6 +87,12 @@ class TestMollified:
         p = sample_path(SPEC, 0.1, 1.0, seed=3)
         with pytest.raises(ValueError, match="under-resolved"):
             mollify_time_one_sided(p, 0.15)
+
+    def test_rejects_kernel_wider_than_path(self):
+        p = sample_path(SpectrumSpec(p=6, scale=0.0075, k_max=4), 1e-3,
+                        0.064, seed=7)
+        with pytest.raises(ValueError, match="iota.*path.horizon"):
+            MollifiedPath(p, 1.0)
 
     def test_adapted(self):
         # values at time <= t_i are unchanged by perturbing the future
