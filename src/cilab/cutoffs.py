@@ -155,16 +155,16 @@ class EtaFamily:
         horizon = float(t[-1])
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
-        shift = (2.0 * self.eps_tilt * self.tau / 3.0) * np.sin(2 * np.pi * x1)
+        tilt = 2.0 * self.eps_tilt * self.tau / 3.0
         # x-mollification nodes: average the shift over the kernel
         ny = 33
         y = (np.arange(ny) + 0.5) / ny * self.eps_moll
-        wy = np.zeros(ny)
         u = 2.0 * (y / self.eps_moll) - 1.0
         wy = np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300))
         wy /= wy.sum()
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
         width = self.eps_moll * self.tau
+        shifts = [tilt * np.sin(2 * np.pi * (x1 - yk)) for yk in y]
         for i in range(self.n_windows):
             if self.straight_zero and i == 0:
                 prof = self._straight0(t)
@@ -172,14 +172,17 @@ class EtaFamily:
                 continue
             lo = i * self.tau + self.eps_tilt * self.tau / 3.0
             hi = i * self.tau + (3.0 - self.eps_tilt) * self.tau / 3.0
-            acc = np.zeros((len(t), self.n_x1))
-            for yk, wk in zip(y, wy):
-                sh = ((2.0 * self.eps_tilt * self.tau / 3.0)
-                      * np.sin(2 * np.pi * (x1 - yk)))
-                arg_lo = (t[:, None] - sh[None, :] - lo) / width
-                arg_hi = (t[:, None] - sh[None, :] - hi) / width
+            # bump_cdf is exactly 0 below 0 and exactly 1 above 1, so each
+            # term vanishes unless lo < t - shift < hi + width: only times
+            # within that span, padded by the tilt and by width, can be nonzero
+            rows = (t > lo - tilt - width) & (t < hi + tilt + 2.0 * width)
+            tr = t[rows]
+            acc = np.zeros((len(tr), self.n_x1))
+            for sh, wk in zip(shifts, wy):
+                arg_lo = (tr[:, None] - sh[None, :] - lo) / width
+                arg_hi = (tr[:, None] - sh[None, :] - hi) / width
                 acc += wk * (bump_cdf(arg_lo) - bump_cdf(arg_hi))
-            vals[i] = acc
+            vals[i, rows] = acc
         self.values = vals
         if self.straight_zero:
             te1 = self.tau

@@ -80,25 +80,14 @@ class SpectralField:
 
     # -- single-mode access ---------------------------------------------
     def get_mode(self, k) -> np.ndarray:
-        """Coefficient vector (one entry per component) at wavevector k."""
-        kx, ky, kz = (int(v) for v in k)
-        n = self.grid.n
-        if kz < 0:
-            return np.conj(self.get_mode((-kx, -ky, -kz)))
-        return self.coeffs[:, kx % n, ky % n, kz]
+        """Copy of the coefficient vector (one entry per component) at
+        wavevector k, which must have every |k_i| < n/2."""
+        return ModeTable([k], self.grid).gather(self.coeffs)[:, 0]
 
     def set_mode(self, k, values) -> None:
         """Set the coefficient at k (and its Hermitian partner)."""
-        kx, ky, kz = (int(v) for v in k)
-        n = self.grid.n
-        if max(abs(kx), abs(ky), abs(kz)) >= n // 2:
-            raise ValueError("mode outside the unambiguous half-spectrum")
-        values = np.asarray(values, dtype=complex)
-        if kz < 0:
-            kx, ky, kz, values = -kx, -ky, -kz, np.conj(values)
-        self.coeffs[:, kx % n, ky % n, kz] = values
-        if kz == 0 and (kx, ky) != (0, 0):
-            self.coeffs[:, (-kx) % n, (-ky) % n, 0] = np.conj(values)
+        values = np.asarray(values, dtype=complex).reshape(-1, 1)
+        ModeTable([k], self.grid).scatter_set(self.coeffs, values)
 
     def hermitian_defect(self) -> float:
         """Max violation of c(-k) = conj(c(k)) on the self-conjugate planes."""
@@ -118,6 +107,81 @@ def _reflect(n: int):
 def _check_same(a: SpectralField, b: SpectralField):
     if a.grid != b.grid or a.rank != b.rank:
         raise ValueError("fields live on different grids or ranks")
+
+
+class ModeTable:
+    """The map from integer wavevectors to rfftn storage slots.
+
+    Row m of the (M, 3) array ``k`` is stored at flat index ``slot[m]`` of
+    each component's (n, n, n//2+1) half-spectrum: as itself when k_z >= 0,
+    and as the conjugate of -k when k_z < 0 (``conj[m]``).  A nonzero mode on
+    the k_z = 0 plane is stored twice, at k and, conjugated, at -k.  Every
+    |k_i| must be below n/2: beyond that, k and k - n share a slot.
+
+    Scatters take values of shape (ncomp, M), write the partner as well, and
+    so keep the stored spectrum that of a real field.  ``scatter_add`` adds in
+    mode order, so repeated wavevectors accumulate exactly as one
+    ``set_mode(k, get_mode(k) + v)`` per row would.
+    """
+
+    def __init__(self, k, grid: GridSpec):
+        k = np.asarray(k, dtype=np.int64).reshape(-1, 3)
+        n = grid.n
+        if k.size and np.abs(k).max() >= n // 2:
+            raise ValueError("mode outside the unambiguous half-spectrum")
+        self.grid = grid
+        self.conj = k[:, 2] < 0
+        rep = np.where(self.conj[:, None], -k, k)
+        nz = n // 2 + 1
+        self.slot = ((rep[:, 0] % n) * n + rep[:, 1] % n) * nz + rep[:, 2]
+        paired = (rep[:, 2] == 0) & np.any(rep[:, :2] != 0, axis=1)
+        partner = np.where(
+            paired, ((-rep[:, 0]) % n * n + (-rep[:, 1]) % n) * nz, -1)
+        # write order: each mode's slot, then its partner (if it has one);
+        # the stored value is conjugated for k_z < 0, the partner's always
+        both = np.stack([self.slot, partner], axis=1).ravel()
+        keep = both >= 0
+        self._targets = both[keep]
+        self._source = np.repeat(np.arange(len(k)), 2)[keep]
+        self._conj_write = np.stack(
+            [self.conj, np.ones(len(k), bool)], axis=1).ravel()[keep]
+
+    def _flat(self, coeffs: np.ndarray) -> np.ndarray:
+        n = self.grid.n
+        if coeffs.shape[1:] != (n, n, n // 2 + 1):
+            raise ValueError(f"coefficient array of shape {coeffs.shape} is "
+                             f"not on the table's grid n={n}")
+        flat = coeffs.reshape(coeffs.shape[0], -1)
+        if not np.may_share_memory(flat, coeffs):
+            # a scatter must write into the field, not into a copy
+            raise ValueError("coefficient array is not contiguous per "
+                             "component")
+        return flat
+
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients at every k, shape (ncomp, M)."""
+        vals = self._flat(coeffs)[:, self.slot]
+        return np.where(self.conj, np.conj(vals), vals)
+
+    def _writes(self, values) -> np.ndarray:
+        """Values for ``_targets``: the stored value, then the partner's."""
+        vals = np.asarray(values, dtype=complex)[:, self._source]
+        return np.where(self._conj_write, np.conj(vals), vals)
+
+    def scatter_add(self, coeffs: np.ndarray, values) -> None:
+        """Add ``values`` at every k, in mode order."""
+        flat = self._flat(coeffs)
+        vals = np.broadcast_to(self._writes(values),
+                               (flat.shape[0], self._targets.size))
+        for comp, v in zip(flat, vals):
+            np.add.at(comp, self._targets, v)
+
+    def scatter_set(self, coeffs: np.ndarray, values) -> None:
+        """Set the coefficients at every k; the slots must be distinct."""
+        if np.unique(self._targets).size != self._targets.size:
+            raise ValueError("scatter_set needs wavevectors with distinct "
+                             "storage slots")
+        self._flat(coeffs)[:, self._targets] = self._writes(values)
 
 
 # ---------------------------------------------------------------------------

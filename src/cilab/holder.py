@@ -20,9 +20,11 @@ class HolderNormReport:
     """Lower-bound estimates of sup-norms and Hoelder seminorms.
 
     ``c0``/``c1`` follow the usual convention: sums over multi-indices up to
-    the given total order of the sup-norm of each derivative.
+    the given total order of the sup-norm of each derivative.  ``order`` is
+    the order N + kappa the report was built at.
     """
 
+    order: float
     c0: float
     c1: float
     c2: float = 0.0
@@ -30,13 +32,18 @@ class HolderNormReport:
     method: str = "grid_max_quotient"
 
     def value(self, order: float) -> float:
-        """Full C^{N+kappa} estimate for the order the report was built at."""
-        n_whole = int(np.floor(order + 1e-12))
-        kappa = order - n_whole
+        """Full C^{N+kappa} estimate; ``order`` must be the order the report
+        was built at, since other orders need other derivatives and
+        seminorms."""
+        if abs(order - self.order) > 1e-12:
+            raise ValueError(f"report was built at order {self.order}, "
+                             f"not {order}")
+        n_whole = int(np.floor(self.order + 1e-12))
+        kappa = self.order - n_whole
         base = (self.c0, self.c1, self.c2)[n_whole]
         if kappa <= 0:
             return base
-        return base + self.seminorms.get(round(kappa, 12), 0.0)
+        return base + self.seminorms[round(kappa, 12)]
 
 
 def _derivative_levels(f: SpectralField, up_to: int):
@@ -106,7 +113,7 @@ def holder_norm(f: SpectralField, order: float, n_pairs: int = 10000,
     c0 = sums[0]
     c1 = c0 + sums.get(1, 0.0)
     c2 = c1 + sums.get(2, 0.0)
-    report = HolderNormReport(c0=c0, c1=c1, c2=c2)
+    report = HolderNormReport(order=order, c0=c0, c1=c1, c2=c2)
     if kappa > 0.0:
         report.seminorms[round(kappa, 12)] = _seminorm(
             levels[n_whole], kappa, n_pairs, rng)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, zeros, outer_sym
+from .fields import ModeTable, SpectralField, zeros, outer_sym
 from .grids import GridSpec
 
 
@@ -254,9 +254,14 @@ class MikadoFlow:
         return vals.reshape((3,) + points.shape[1:])
 
     def _v_hat(self) -> np.ndarray:
-        nl = _DENOMINATOR * self.lam  # n_star * lambda
-        grad = (2j * np.pi) * self.mode_k * self.mode_psi[:, None]
-        return np.cross(grad, self.xi[None, :]) / nl**2
+        return _v_coefficients(self.mode_k, self.mode_psi, self.xi,
+                               _DENOMINATOR * self.lam)
+
+
+def _v_coefficients(k, psi_c, xi, nl):
+    """(M, 3) coefficients of V = grad Psi x xi / (n_star lambda)^2 at k."""
+    grad = (2j * np.pi) * k * psi_c[:, None]
+    return np.cross(grad, xi[None, :]) / nl**2
 
 
 def _profile_modes(family: DirectionFamily, row: int, lam: int,
@@ -323,17 +328,16 @@ def build_mikado(xi, lam: int, family: DirectionFamily, grid: GridSpec,
     psi_c = psi_hat * phase
 
     xi_vec = family.directions()[row]
+    table = ModeTable(kvecs, grid)
     phi_f = zeros(grid, "scalar", mean_zero=True)
     psi_f = zeros(grid, "scalar", mean_zero=True)
     W_f = zeros(grid, "vector3", mean_zero=True)
     V_f = zeros(grid, "vector3", mean_zero=True)
-    nl = family.n_star * lam
-    for k, pc, sc in zip(kvecs, phi_c, psi_c):
-        phi_f.set_mode(k, [pc])
-        psi_f.set_mode(k, [sc])
-        W_f.set_mode(k, xi_vec * pc)
-        grad_psi = (2j * np.pi) * k * sc
-        V_f.set_mode(k, np.cross(grad_psi, xi_vec) / nl**2)
+    table.scatter_set(phi_f.coeffs, phi_c[None])
+    table.scatter_set(psi_f.coeffs, psi_c[None])
+    table.scatter_set(W_f.coeffs, xi_vec[:, None] * phi_c[None])
+    table.scatter_set(V_f.coeffs, _v_coefficients(kvecs, psi_c, xi_vec,
+                                                  family.n_star * lam).T)
     return MikadoFlow(xi=xi_vec, lam=lam, family_index=family.index,
                       shift=np.asarray(shift, float), W=W_f, V=V_f,
                       phi=phi_f, Psi=psi_f, mode_k=kvecs, mode_phi=phi_c,

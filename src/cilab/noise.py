@@ -5,13 +5,18 @@ retained wavevectors, two divergence-free polarizations per wavevector, and
 eigenvalues c_k = scale * (1+|k|^2)^(-p).  Brownian increments come from
 counter-based Philox streams keyed by (seed, mode index), so paths are
 bit-reproducible regardless of evaluation order.
+
+Mode work goes through ``fields.ModeTable``: a field of B, of its
+mollification or of its low-pass part is one scatter of all modes into the
+half-spectrum, and the projections <u, e_k> are one gather.  Path norms,
+the mollification and the Ito sums run over all modes and samples at once.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, zeros
+from .fields import ModeTable, SpectralField, zeros
 from .grids import GridSpec
 
 _SQRT2 = np.sqrt(2.0)
@@ -150,15 +155,19 @@ class NoisePath:
             [np.zeros((spec.n_modes, 1)), np.cumsum(incr, axis=1)], axis=1)
         self._stamps = np.stack([m.stamp() for m in spec.modes])  # (M, 3)
         self._roots = np.sqrt(spec.eigenvalues())
+        self._k = np.array([m.k for m in spec.modes], dtype=np.int64)
+        self._tables = {}   # grid.n -> ModeTable of self._k
 
     # -- field assembly --------------------------------------------------
+    def _table(self, grid: GridSpec) -> ModeTable:
+        if grid.n not in self._tables:
+            self._tables[grid.n] = ModeTable(self._k, grid)
+        return self._tables[grid.n]
+
     def _assemble(self, weights: np.ndarray, grid: GridSpec) -> SpectralField:
         f = zeros(grid, "vector3", mean_zero=True)
-        for m, mode in enumerate(self.spec.modes):
-            if weights[m] == 0.0:
-                continue
-            cur = f.get_mode(mode.k).copy()
-            f.set_mode(mode.k, cur + weights[m] * self._stamps[m])
+        self._table(grid).scatter_add(f.coeffs,
+                                      (weights[:, None] * self._stamps).T)
         return f
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
@@ -167,22 +176,13 @@ class NoisePath:
 
     def project(self, u: SpectralField) -> np.ndarray:
         """All inner products <u, e_k> at once."""
-        out = np.empty(self.spec.n_modes)
-        for m, mode in enumerate(self.spec.modes):
-            cu = u.get_mode(mode.k)
-            out[m] = 2.0 * np.real(cu @ np.conj(self._stamps[m]))
-        return out
+        cu = self._table(u.grid).gather(u.coeffs)          # (3, M)
+        return 2.0 * np.real(np.einsum("cm,mc->m", cu, np.conj(self._stamps)))
 
     # -- path norms (mode space; the basis diagonalizes (I - Lap)) -------
     def hs_norm(self, i: int, s: float) -> float:
         """H^s norm of B(t_i)."""
         w = self.spec.eigenvalues() * self.beta[:, i] ** 2
-        mult = (1.0 + 4.0 * np.pi**2 * self.spec.k_squared()) ** s
-        return float(np.sqrt(np.sum(w * mult)))
-
-    def hs_increment_norm(self, i: int, j: int, s: float) -> float:
-        db = self.beta[:, j] - self.beta[:, i]
-        w = self.spec.eigenvalues() * db**2
         mult = (1.0 + 4.0 * np.pi**2 * self.spec.k_squared()) ** s
         return float(np.sqrt(np.sum(w * mult)))
 
@@ -227,16 +227,19 @@ class MollifiedPath:
         dw = _dbump(u) / iota
         self.dweights = dw * path.dt / total
         self.lags = np.arange(1, n_taps)
-        # mollified per-mode coordinates and their time derivative
+        # mollified per-mode coordinates and their time derivative: a causal
+        # FIR filter, B taken as 0 before time 0.  Direct convolution, not
+        # FFT: the value at t_i must not depend on samples after t_i, not
+        # even at rounding level.
         beta = path.beta
-        M, N1 = beta.shape
-        self.beta_z = np.zeros((M, N1))
-        self.dbeta_z = np.zeros((M, N1))
-        for tap, lag in enumerate(self.lags):
-            seg = np.zeros((M, N1))
-            seg[:, lag:] = beta[:, :N1 - lag]   # B(t - lag*dt), zero before 0
-            self.beta_z += self.weights[tap] * seg
-            self.dbeta_z += self.dweights[tap] * seg
+        N1 = beta.shape[1]
+        self.beta_z = np.zeros(beta.shape)
+        self.dbeta_z = np.zeros(beta.shape)
+        for row, z, dz in zip(beta, self.beta_z, self.dbeta_z):
+            # z(t_i) = sum_tap w[tap] B(t_{i-1-tap}): entry i-1 of the full
+            # convolution
+            z[1:] = np.convolve(row, self.weights)[:N1 - 1]
+            dz[1:] = np.convolve(row, self.dweights)[:N1 - 1]
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
         return self.path._assemble(self.path._roots * self.beta_z[:, i], grid)
@@ -307,26 +310,24 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
     kappa = 0.5 - alpha
     w = path.spec.eigenvalues()
     mult = (1.0 + 4.0 * np.pi**2 * path.spec.k_squared()) ** s
-    energy = (w * mult)[:, None] * path.beta**2
-    hs = np.sqrt(energy.sum(axis=0))              # H^s norm at each sample
-    n = path.n_steps
-    running = 0.0
-    crossing = None
-    gaps = [1]
-    while gaps[-1] * 2 <= n:
-        gaps.append(gaps[-1] * 2)
-    for i in range(n + 1):
-        running = max(running, hs[i])
-        if kind == "holder":
-            for g in gaps:
-                if g > i:
-                    break
-                dn = path.hs_increment_norm(i - g, i, s)
-                running = max(running, dn / (g * path.dt) ** kappa)
-        if running >= threshold:
-            crossing = path.times[i]
-            break
-    if crossing is not None:
+
+    def hs(rows):
+        """H^s norms of the mode vectors in the rows, as in ``hs_norm``."""
+        return np.sqrt(np.sum((w * rows**2) * mult, axis=1))
+
+    beta = np.ascontiguousarray(path.beta.T)      # one sample per row
+    norm = hs(beta)
+    if kind == "holder":
+        # difference quotients over each dyadic gap g
+        g = 1
+        while g <= path.n_steps:
+            quotient = hs(beta[g:] - beta[:-g]) / (g * path.dt) ** kappa
+            norm[g:] = np.maximum(norm[g:], quotient)
+            g *= 2
+    # the running maximum first reaches the threshold where the norm does
+    hits = np.flatnonzero(norm >= threshold)
+    if hits.size:
+        crossing = path.times[hits[0]]
         value = min(crossing, L)
         trig = "norm_threshold" if crossing < L else "horizon_cap"
         return StoppingTimeResult(float(value), trig, L, alpha, True)
@@ -348,15 +349,18 @@ def ito_integral(u_samples, path: NoisePath, n_steps: int | None = None) -> np.n
     integral, one entry per sample time.
     """
     n = path.n_steps if n_steps is None else n_steps
+    if not 0 <= n <= path.n_steps:
+        raise ValueError(f"n_steps={n} outside the path's {path.n_steps} "
+                         "steps")
     single = isinstance(u_samples, SpectralField)
     if not single and len(u_samples) < n + 1:
         raise ValueError("u_samples does not cover the path time grid")
-    roots = path._roots
-    out = np.zeros(n + 1)
-    proj = path.project(u_samples) if single else None
-    for j in range(n):
-        if not single:
-            proj = path.project(u_samples[j])
-        db = path.increments[:, j]
-        out[j + 1] = out[j] + float(np.sum(roots * db * proj))
-    return out
+    db = path._roots[:, None] * path.increments[:, :n]       # (M, n)
+    if single:
+        steps = path.project(u_samples) @ db
+    else:
+        proj = np.empty((n, path.spec.n_modes))
+        for j in range(n):
+            proj[j] = path.project(u_samples[j])
+        steps = np.einsum("jm,mj->j", proj, db)
+    return np.concatenate([[0.0], np.cumsum(steps)])

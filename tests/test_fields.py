@@ -9,8 +9,8 @@ from cilab import (
     to_grid,
 )
 from cilab.fields import (
-    SYM_SLOT, c0_norm, dealias, divergence_defect, grid_l2_norm_squared,
-    inner, l2_norm, trace_defect, zeros,
+    SYM_SLOT, ModeTable, c0_norm, dealias, divergence_defect,
+    grid_l2_norm_squared, inner, l2_norm, trace_defect, zeros,
 )
 
 GRID = GridSpec(32)
@@ -305,6 +305,96 @@ class TestSnapshot:
         p.write_bytes(b"NOTAFILE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_field(p)
+
+
+def _loop_get(coeffs, k):
+    """Reference single-mode read: index arithmetic of one wavevector."""
+    kx, ky, kz = (int(v) for v in k)
+    n = coeffs.shape[1]
+    if kz < 0:
+        return np.conj(coeffs[:, (-kx) % n, (-ky) % n, -kz])
+    return coeffs[:, kx % n, ky % n, kz].copy()
+
+
+def _loop_set(coeffs, k, values):
+    """Reference single-mode write, with the Hermitian partner on k_z = 0."""
+    kx, ky, kz = (int(v) for v in k)
+    n = coeffs.shape[1]
+    values = np.asarray(values, dtype=complex)
+    if kz < 0:
+        kx, ky, kz, values = -kx, -ky, -kz, np.conj(values)
+    coeffs[:, kx % n, ky % n, kz] = values
+    if kz == 0 and (kx, ky) != (0, 0):
+        coeffs[:, (-kx) % n, (-ky) % n, 0] = np.conj(values)
+
+
+def _wavevectors(n, count, seed):
+    """Random modes with |k_i| < n/2, a third of them on the k_z = 0 plane,
+    and repeats, including -k for modes on that plane."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-(n // 2) + 1, n // 2, size=(count, 3))
+    k[: count // 3, 2] = 0
+    k[~k.any(axis=1)] = (1, 0, 0)
+    return np.concatenate([k, k[:5], -k[: count // 3][:5]])
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_scatter_add_matches_mode_loop(self, n):
+        grid = GridSpec(n)
+        k = _wavevectors(n, 60, seed=n)
+        assert (k[:, 2] < 0).any() and (k[:, 2] == 0).any()
+        vals = np.random.default_rng(1).standard_normal((3, len(k), 2))
+        vals = vals[..., 0] + 1j * vals[..., 1]
+        f = zeros(grid, "vector3")
+        ModeTable(k, grid).scatter_add(f.coeffs, vals)
+        ref = zeros(grid, "vector3").coeffs
+        for m, km in enumerate(k):
+            _loop_set(ref, km, _loop_get(ref, km) + vals[:, m])
+        assert np.array_equal(f.coeffs, ref)
+        assert f.hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gather_matches_mode_loop(self, n):
+        grid = GridSpec(n)
+        f = random_band_limited(grid, "vector3", n // 2, seed=n)
+        k = _wavevectors(n, 60, seed=n + 1)
+        got = ModeTable(k, grid).gather(f.coeffs)
+        ref = np.stack([_loop_get(f.coeffs, km) for km in k], axis=1)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got[:, 7], f.get_mode(k[7]))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_scatter_set_matches_set_mode_loop(self, n):
+        grid = GridSpec(n)
+        k = np.unique(_wavevectors(n, 60, seed=n + 2), axis=0)
+        k = k[[tuple(-v) not in set(map(tuple, k)) for v in k]]
+        vals = np.random.default_rng(2).standard_normal((3, len(k)))
+        f = zeros(grid, "vector3")
+        ModeTable(k, grid).scatter_set(f.coeffs, vals * (1 - 0.5j))
+        ref = zeros(grid, "vector3")
+        for m, km in enumerate(k):
+            ref.set_mode(km, vals[:, m] * (1 - 0.5j))
+        loop = zeros(grid, "vector3").coeffs
+        for m, km in enumerate(k):
+            _loop_set(loop, km, vals[:, m] * (1 - 0.5j))
+        assert np.array_equal(f.coeffs, loop)
+        assert np.array_equal(ref.coeffs, loop)
+        assert f.hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("k", [(8, 0, 0), (0, -8, 1), (1, 2, -8)])
+    def test_rejects_mode_beyond_half_grid(self, k):
+        with pytest.raises(ValueError, match="half-spectrum"):
+            ModeTable([k], GridSpec(16))
+        with pytest.raises(ValueError, match="half-spectrum"):
+            zeros(GridSpec(16), "scalar").set_mode(k, [1.0])
+
+    def test_set_rejects_shared_slots(self):
+        # k and -k on the k_z = 0 plane are one stored coefficient
+        table = ModeTable([(1, 2, 0), (-1, -2, 0)], GridSpec(16))
+        with pytest.raises(ValueError, match="distinct"):
+            table.scatter_set(zeros(GridSpec(16), "scalar").coeffs,
+                              [[1.0, 2.0]])
 
 
 class TestGridSpec:

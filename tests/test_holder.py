@@ -31,6 +31,17 @@ def test_c0_below_full_norm():
     assert rep.c0 <= rep.value(0.4)
 
 
+@pytest.mark.parametrize("other", [0.0, 0.7, 1.0, 1.4])
+def test_value_rejects_order_not_built(other):
+    rng = np.random.default_rng(2)
+    f = from_grid(rng.standard_normal((16,) * 3), GridSpec(16), "scalar")
+    rep = holder_norm(f, 0.4, n_pairs=500)
+    assert rep.order == 0.4
+    assert rep.value(0.4) == rep.c0 + rep.seminorms[0.4]
+    with pytest.raises(ValueError, match="built at order 0.4"):
+        rep.value(other)
+
+
 def test_seminorm_scaling_consistency():
     # with k_hi > k_lo: [f]_{k_hi} >= [f]_{k_lo} * diam^{k_lo - k_hi}
     # (diam = 1/2 on the torus); same seed so both use the same pairs

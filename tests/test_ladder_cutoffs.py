@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cilab.ladder import ladder
-from cilab.cutoffs import ChiFamily, EtaFamily, smoothstep, smoothstep_deriv
+from cilab.cutoffs import (ChiFamily, EtaFamily, bump_cdf, smoothstep,
+                           smoothstep_deriv)
 
 
 class TestLadder:
@@ -139,6 +140,27 @@ class TestEta:
     def test_range(self):
         assert self.eta.values.min() >= 0.0
         assert self.eta.values.max() <= 1.0 + 1e-12
+
+    def test_matches_evaluation_at_every_time(self):
+        # reference: each window evaluated at every time of a shuffled grid
+        times = np.random.default_rng(3).permutation(self.times)
+        eta = EtaFamily(self.tau, times, n_x1=16)
+        x1 = np.arange(16) / 16
+        y = (np.arange(33) + 0.5) / 33 * eta.eps_moll
+        u = 2.0 * (y / eta.eps_moll) - 1.0
+        wy = np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300))
+        wy /= wy.sum()
+        width = eta.eps_moll * self.tau
+        for i in range(eta.n_windows):
+            lo = i * self.tau + eta.eps_tilt * self.tau / 3.0
+            hi = i * self.tau + (3.0 - eta.eps_tilt) * self.tau / 3.0
+            ref = np.zeros((len(times), 16))
+            for yk, wk in zip(y, wy):
+                sh = ((2.0 * eta.eps_tilt * self.tau / 3.0)
+                      * np.sin(2 * np.pi * (x1 - yk)))
+                ref += wk * (bump_cdf((times[:, None] - sh - lo) / width)
+                             - bump_cdf((times[:, None] - sh - hi) / width))
+            assert np.array_equal(eta.values[i], ref)
 
 
 class TestEtaCauchy:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cilab import GridSpec
-from cilab.fields import c0_norm, differential, to_grid
+from cilab.fields import c0_norm, differential, to_grid, zeros
 from cilab.mikado import (
     CertificationError, build_direction_family, build_family_flows,
     build_mikado, decomposition_coefficients, gamma_coefficients,
@@ -183,6 +183,25 @@ class TestMikadoFlow:
         assert max(lv_vals) / min(lv_vals) < 1.2
         ratio = w_vals[0] / lv_vals[0]
         assert ratio > 2 * np.pi * FAM0.n_star * 0.9  # provable lower bound
+
+    @pytest.mark.parametrize("row,lam,n", [(0, 1, 32), (4, 2, 32),
+                                           (5, 3, 64)])
+    def test_coefficients_match_set_mode_loop(self, row, lam, n):
+        g = GridSpec(n)
+        flow = build_mikado(row, lam, FAM1, g)
+        nl = FAM1.n_star * lam
+        ref = {name: zeros(g, rank, mean_zero=True) for name, rank in
+               (("phi", "scalar"), ("Psi", "scalar"), ("W", "vector3"),
+                ("V", "vector3"))}
+        assert (flow.mode_k[:, 2] < 0).any() and (flow.mode_k[:, 2] == 0).any()
+        for k, pc, sc in zip(flow.mode_k, flow.mode_phi, flow.mode_psi):
+            ref["phi"].set_mode(k, [pc])
+            ref["Psi"].set_mode(k, [sc])
+            ref["W"].set_mode(k, flow.xi * pc)
+            ref["V"].set_mode(k, np.cross((2j * np.pi) * k * sc, flow.xi)
+                              / nl**2)
+        for name, f in ref.items():
+            assert np.array_equal(getattr(flow, name).coeffs, f.coeffs), name
 
     def test_unresolvable_lambda(self):
         with pytest.raises(ValueError, match="unresolvable"):

@@ -2,15 +2,64 @@ import numpy as np
 import pytest
 
 from cilab import GridSpec
-from cilab.fields import c0_norm, differential, from_grid, inner, to_grid
+from cilab.fields import (c0_norm, differential, from_grid, inner, to_grid,
+                          zeros)
 from cilab.noise import (
-    LowpassPath, MollifiedPath, SpectrumSpec, ito_integral,
-    mollify_time_one_sided,
+    LowpassPath, MollifiedPath, SpectrumSpec, StoppingTimeResult,
+    ito_integral, mollify_time_one_sided,
     sample_path, stopping_time, trace,
 )
 
 GRID = GridSpec(16)
 SPEC = SpectrumSpec(p=6.0, scale=1.0, k_max=2)
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _assemble_loop(path, weights, grid):
+    """Reference field assembly: one get_mode/set_mode per mode."""
+    f = zeros(grid, "vector3", mean_zero=True)
+    for w, mode in zip(weights, path.spec.modes):
+        if w != 0.0:
+            f.set_mode(mode.k, f.get_mode(mode.k) + w * mode.stamp())
+    return f
+
+
+def _project_loop(path, u):
+    return np.array([2.0 * np.real(u.get_mode(mode.k) @ np.conj(mode.stamp()))
+                     for mode in path.spec.modes])
+
+
+def _running_norm(path, alpha, gamma, kind):
+    """Reference for the stopping time: a scalar scan, sample by sample and
+    dyadic gap by dyadic gap, of the running maximum of the path norm."""
+    s = 3.5 + gamma if kind == "holder" else 2.5 + gamma
+    c = path.spec.eigenvalues()
+    mult = (1.0 + 4.0 * np.pi**2 * path.spec.k_squared()) ** s
+    running, out = 0.0, []
+    for i in range(path.n_steps + 1):
+        running = max(running, path.hs_norm(i, s))
+        g = 1
+        while kind == "holder" and g <= i:
+            db = path.beta[:, i] - path.beta[:, i - g]
+            dn = float(np.sqrt(np.sum(c * db**2 * mult)))
+            running = max(running, dn / (g * path.dt) ** (0.5 - alpha))
+            g *= 2
+        out.append(running)
+    return np.array(out)
+
+
+def _stopping_scan(path, L, alpha, running):
+    hit = np.flatnonzero(running >= L)
+    if hit.size:
+        t = float(path.times[hit[0]])
+        trig = "norm_threshold" if t < L else "horizon_cap"
+        return StoppingTimeResult(min(t, L), trig, L, alpha, True)
+    if path.horizon < L:
+        return StoppingTimeResult(path.horizon, "horizon_cap", L, alpha, False)
+    return StoppingTimeResult(L, "horizon_cap", L, alpha, True)
 
 
 class TestSpectrum:
@@ -77,7 +126,44 @@ class TestSamplePath:
         assert abs(vals.mean() - c * t) < 3 * se
 
 
+class TestModeAssembly:
+    def test_field_at_matches_mode_loop(self):
+        p = sample_path(SpectrumSpec(p=6.0, scale=1.0, k_max=4), 0.01, 0.2,
+                        seed=14)
+        roots = np.sqrt(p.spec.eigenvalues())
+        for i in (0, 1, 9, p.n_steps):
+            ref = _assemble_loop(p, roots * p.beta[:, i], GRID)
+            assert np.array_equal(p.field_at(i, GRID).coeffs, ref.coeffs)
+        z = mollify_time_one_sided(p, 0.05)
+        ref = _assemble_loop(p, roots * z.dbeta_z[:, 12], GridSpec(32))
+        assert np.array_equal(z.dfield_at(12, GridSpec(32)).coeffs,
+                              ref.coeffs)
+
+    def test_project_matches_mode_loop(self):
+        p = sample_path(SPEC, 0.02, 0.1, seed=15)
+        rng = np.random.default_rng(15)
+        u = from_grid(rng.standard_normal((3,) + (GRID.n,) * 3), GRID,
+                      "vector3")
+        assert _rel(p.project(u), _project_loop(p, u)) < 1e-14
+
+    def test_rejects_grid_too_coarse_for_the_spectrum(self):
+        p = sample_path(SpectrumSpec(p=6.0, scale=1.0, k_max=4), 0.01, 0.1,
+                        seed=16)
+        with pytest.raises(ValueError, match="half-spectrum"):
+            p.field_at(0, GridSpec(8))
+
+
 class TestMollified:
+    def test_matches_tap_loop(self):
+        p = sample_path(SPEC, 0.01, 1.0, seed=17)
+        z = mollify_time_one_sided(p, 0.23)
+        ref_z, ref_dz = np.zeros_like(p.beta), np.zeros_like(p.beta)
+        for w, dw, lag in zip(z.weights, z.dweights, z.lags):
+            ref_z[:, lag:] += w * p.beta[:, :-lag]
+            ref_dz[:, lag:] += dw * p.beta[:, :-lag]
+        assert _rel(z.beta_z, ref_z) < 1e-13
+        assert _rel(z.dbeta_z, ref_dz) < 1e-13
+
     def test_zero_at_time_zero(self):
         p = sample_path(SPEC, 0.01, 1.0, seed=3)
         z = mollify_time_one_sided(p, 0.1)
@@ -166,8 +252,38 @@ class TestStoppingTime:
         r2 = stopping_time(p, L=0.9 * max_norm, alpha=0.02, gamma=0.01)
         assert r1.value <= r2.value
 
+    @pytest.mark.parametrize("kind", ["holder", "sup"])
+    def test_matches_scalar_scan(self, kind):
+        p = sample_path(SPEC, 0.01, 0.6, seed=18)
+        running = _running_norm(p, 0.1, 0.01, kind)
+        rises = np.flatnonzero(running[1:] > running[:-1]) + 1
+        # exactly the running norm where it rises, and one ulp above it,
+        # so a norm one ulp off moves the stopping time; then the cap
+        thresholds = [f(running[j]) for j in rises
+                      for f in (float, lambda v: np.nextafter(v, np.inf))]
+        got = [stopping_time(p, L, 0.1, 0.01, kind=kind)
+               for L in thresholds + [1e9]]
+        assert got == [_stopping_scan(p, L, 0.1, running)
+                       for L in thresholds + [1e9]]
+        assert [r.value for r in got[:-2:2]] == list(p.times[rises])
+        assert got[0].triggered_by == "norm_threshold"
+        assert got[-1].triggered_by == "horizon_cap"
+
 
 class TestItoIntegral:
+    def test_matches_step_loop(self):
+        p = sample_path(SPEC, 0.02, 0.4, seed=19)
+        fields = [p.field_at(j, GRID) for j in range(p.n_steps + 1)]
+        roots = np.sqrt(p.spec.eigenvalues())
+        fixed = _project_loop(p, fields[3])
+        ref, ref_fixed = np.zeros(p.n_steps + 1), np.zeros(p.n_steps + 1)
+        for j in range(p.n_steps):
+            step = roots * p.increments[:, j]
+            ref[j + 1] = ref[j] + np.sum(step * _project_loop(p, fields[j]))
+            ref_fixed[j + 1] = ref_fixed[j] + np.sum(step * fixed)
+        assert _rel(ito_integral(fields, p), ref) < 1e-14
+        assert _rel(ito_integral(fields[3], p), ref_fixed) < 1e-14
+
     def test_zero_integrand(self):
         p = sample_path(SPEC, 0.02, 0.5, seed=10)
         u = from_grid(np.zeros((3,) + (GRID.n,) * 3), GRID, "vector3")
@@ -198,6 +314,11 @@ class TestItoIntegral:
         target = float(np.sum(spec.eigenvalues() * proj**2) * t)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - target) < 3 * se
+
+    def test_rejects_more_steps_than_the_path(self):
+        p = sample_path(SPEC, 0.02, 0.5, seed=20)
+        with pytest.raises(ValueError, match="n_steps"):
+            ito_integral(p.field_at(0, GRID), p, n_steps=p.n_steps + 1)
 
     def test_time_grid_mismatch(self):
         p = sample_path(SPEC, 0.02, 0.5, seed=12)
