@@ -7,6 +7,9 @@ window, so the glued stress vanishes identically between the I intervals.
 eta_i: mollified indicators of sinusoidally tilted time slabs; the tilt
 keeps sum_i int eta_i^2 dx uniformly positive (target 1/5) at every time,
 which is what lets the energy gap be pumped strictly between gluing times.
+
+The package's one bump kernel (``bump``) and one smooth step
+(``smoothstep``) live here too.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +48,27 @@ def smoothstep_deriv(s):
         da = a / x**2
         db = -b / (1.0 - x) ** 2
         out[mid] = (da * (a + b) - a * (da + db)) / (a + b) ** 2
+    return out if out.ndim else float(out)
+
+
+def bump(r2):
+    """Standard bump exp(-1/(1 - r^2)) of the squared radius ``r2``: exactly
+    0 for r2 >= 1."""
+    r2 = np.asarray(r2, dtype=float)
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return out if out.ndim else float(out)
+
+
+def bump_deriv(r):
+    """Derivative of the profile r -> bump(r^2) with respect to r: exactly 0
+    for |r| >= 1."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    inside = r * r < 1.0
+    ri = r[inside]
+    out[inside] = bump(ri * ri) * (-2.0 * ri / (1.0 - ri * ri) ** 2)
     return out if out.ndim else float(out)
 
 
@@ -112,10 +136,7 @@ class ChiFamily:
 
 def _bump_cdf_table(n: int = 4096):
     s = np.linspace(0.0, 1.0, n)
-    u = 2.0 * s - 1.0
-    w = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    w[mid] = np.exp(-1.0 / (1.0 - u[mid] ** 2))
+    w = bump((2.0 * s - 1.0) ** 2)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]))])
     cdf /= cdf[-1]
     return s, cdf
@@ -159,8 +180,7 @@ class EtaFamily:
         # x-mollification nodes: average the shift over the kernel
         ny = 33
         y = (np.arange(ny) + 0.5) / ny * self.eps_moll
-        u = 2.0 * (y / self.eps_moll) - 1.0
-        wy = np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300))
+        wy = bump((2.0 * (y / self.eps_moll) - 1.0) ** 2)
         wy /= wy.sum()
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
         width = self.eps_moll * self.tau
@@ -218,7 +238,3 @@ class EtaFamily:
                 worst = max(worst, float(np.max(self.values[i]
                                                 * self.values[j])))
         return worst
-
-    def active_windows(self, t_idx: int, tol: float = 0.0) -> list:
-        return [i for i in range(self.n_windows)
-                if np.max(self.values[i, t_idx]) > tol]

@@ -6,23 +6,23 @@ with an explicit fourth-order scheme; Leray projection absorbs the pressure
 so divergence stays at rounding.  Products are dealiased by the 2/3 rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
     SpectralField, c0_norm, dealias, differential, from_grid, leray_project,
-    outer_sym, to_grid, zeros,
+    outer_sym, to_grid,
 )
 from .grids import GridSpec
-from .holder import holder_value
+from .holder import holder_norm
+
+_CFL_FACTOR = 0.25   # bound on dt * (n |u|_0 + |grad u|_0) per RK4 step
 
 
 @dataclass
 class SolverConfig:
-    dt_cfl_factor: float = 0.25
-    dealias: bool = True
     pad_factor: int = 2        # FFT refinement for off-grid evaluation
     interp_points: int = 6     # B-spline stencil width per axis (2..6)
     blowup_guard: float = 1e6
@@ -36,28 +36,25 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     ``z_c2_alpha`` is the caller's estimate of the drift norm (pass 0 for
     none); the limit is advisory at desk scale.
     """
-    v_norm = holder_value(v0, 1.0 + alpha) if c0_norm(v0) > 0 else 0.0
+    order = 1.0 + alpha
+    v_norm = (holder_norm(v0, order, n_pairs=4000).value(order)
+              if c0_norm(v0) > 0 else 0.0)
     total = v_norm + z_c2_alpha
     if total <= 0:
         return horizon
     return min(0.25 / total, horizon)
 
 
-def _advection_rhs(v: SpectralField, z: SpectralField | None,
-                   cfg: SolverConfig) -> SpectralField:
+def _advection_rhs(v: SpectralField,
+                   z: SpectralField | None) -> SpectralField:
     """-P[div((v+z) (x) (v+z))], dealiased."""
-    u = v if z is None else v + z
-    if cfg.dealias:
-        u = dealias(u)
+    u = dealias(v if z is None else v + z)
     ug = to_grid(u)
-    tens = from_grid(outer_sym(ug, ug), u.grid, "symtensor3x3")
-    if cfg.dealias:
-        tens = dealias(tens)
+    tens = dealias(from_grid(outer_sym(ug, ug), u.grid, "symtensor3x3"))
     return -1.0 * leray_project(differential(tens, "div"))
 
 
-def _cfl_dt(v: SpectralField, z: SpectralField | None,
-            cfg: SolverConfig) -> float:
+def _cfl_dt(v: SpectralField, z: SpectralField | None) -> float:
     u = v if z is None else v + z
     umax = c0_norm(u)
     from .fields import gradient_tensor
@@ -65,18 +62,18 @@ def _cfl_dt(v: SpectralField, z: SpectralField | None,
     speed = umax * u.grid.n + gmax
     if speed == 0:
         return np.inf
-    return cfg.dt_cfl_factor / speed
+    return _CFL_FACTOR / speed
 
 
-def _rk4_step(v: SpectralField, z_eval, t: float, dt: float,
-              cfg: SolverConfig) -> SpectralField:
+def _rk4_step(v: SpectralField, z_eval, t: float,
+              dt: float) -> SpectralField:
     z0 = z_eval(t) if z_eval else None
     zm = z_eval(t + 0.5 * dt) if z_eval else None
     z1 = z_eval(t + dt) if z_eval else None
-    k1 = _advection_rhs(v, z0, cfg)
-    k2 = _advection_rhs(v + (0.5 * dt) * k1, zm, cfg)
-    k3 = _advection_rhs(v + (0.5 * dt) * k2, zm, cfg)
-    k4 = _advection_rhs(v + dt * k3, z1, cfg)
+    k1 = _advection_rhs(v, z0)
+    k2 = _advection_rhs(v + (0.5 * dt) * k1, zm)
+    k3 = _advection_rhs(v + (0.5 * dt) * k2, zm)
+    k4 = _advection_rhs(v + dt * k3, z1)
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -103,20 +100,20 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     first = True
     for a, b in zip(out_times[:-1], out_times[1:]):
         span = b - a
-        dt_max = _cfl_dt(v, z_eval(a) if z_eval else None, cfg)
+        dt_max = _cfl_dt(v, z_eval(a) if z_eval else None)
         n_sub = max(1, int(np.ceil(span / dt_max)))
         dt = span / n_sub
         t = a
         for _ in range(n_sub):
             if first:
-                coarse = _rk4_step(v, z_eval, t, dt, cfg)
-                half = _rk4_step(v, z_eval, t, dt / 2, cfg)
-                fine = _rk4_step(half, z_eval, t + dt / 2, dt / 2, cfg)
+                coarse = _rk4_step(v, z_eval, t, dt)
+                half = _rk4_step(v, z_eval, t, dt / 2)
+                fine = _rk4_step(half, z_eval, t + dt / 2, dt / 2)
                 trunc = c0_norm(coarse - fine) / dt  # per unit time
                 v = fine
                 first = False
             else:
-                v = _rk4_step(v, z_eval, t, dt, cfg)
+                v = _rk4_step(v, z_eval, t, dt)
             t += dt
             n_steps += 1
             if c0_norm(v) > cfg.blowup_guard:
@@ -227,9 +224,6 @@ class FlowMap:
             g[a, a] += 1.0
         return g
 
-    def inv_grad(self, i: int) -> np.ndarray:
-        return _invert_3x3(self.grad(i))
-
     def det_grad(self, i: int) -> np.ndarray:
         return _det_3x3(self.grad(i))
 
@@ -238,21 +232,6 @@ def _det_3x3(m: np.ndarray) -> np.ndarray:
     return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
             - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-
-
-def _invert_3x3(m: np.ndarray) -> np.ndarray:
-    det = _det_3x3(m)
-    adj = np.empty_like(m)
-    adj[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    adj[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    adj[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    adj[1, 0] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    adj[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    adj[1, 2] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    adj[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    adj[2, 1] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    adj[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return adj / det
 
 
 def solve_flow_map(u_eval, times, grid: GridSpec,
@@ -345,20 +324,18 @@ def time_derivative(series, dt: float):
     return out
 
 
-def momentum_residual(v_series, z_series, stress_series, dt: float,
-                      cfg: SolverConfig | None = None):
+def momentum_residual(v_series, z_series, stress_series, dt: float):
     """Residual of  P[d_t v + div((v+z) (x) (v+z)) - div R]  on the grid.
 
     Returns (per-time residual sup-norms, finite-difference tolerance
     estimate).  The tolerance is the size of the third-difference remainder
     of the time derivative, i.e. what the discretization itself allows.
     """
-    cfg = cfg or SolverConfig()
     dv = time_derivative(v_series, dt)
     resid = []
     for i, v in enumerate(v_series):
         z = z_series[i] if z_series is not None else None
-        adv = -1.0 * _advection_rhs(v, z, cfg)   # +P div((v+z)(x)(v+z))
+        adv = -1.0 * _advection_rhs(v, z)   # +P div((v+z)(x)(v+z))
         total = dv[i] + adv
         if stress_series is not None:
             total = total - leray_project(differential(stress_series[i], "div"))

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 from scipy import fft as _fft
 
+from .cutoffs import bump
 from .grids import GridSpec
 
 RANK_COMPONENTS = {"scalar": 1, "vector3": 3, "symtensor3x3": 6}
@@ -393,7 +394,7 @@ def band_project(f: SpectralField, mode: str, cutoff: float) -> SpectralField:
 def mollifier_multiplier(grid: GridSpec, ell: float) -> np.ndarray:
     """rfftn multiplier of the rescaled unit-mass bump kernel phi_ell.
 
-    The kernel exp(-1/(1-|x/ell|^2)) on the ball |x| < ell is sampled on the
+    The kernel bump(|x/ell|^2) on the ball |x| < ell is sampled on the
     grid (periodically wrapped) and normalized so its discrete integral is
     one; convolution is then exact for grid-sampled fields and constants are
     preserved.
@@ -408,9 +409,7 @@ def mollifier_multiplier(grid: GridSpec, ell: float) -> np.ndarray:
     d = np.minimum(x, 1.0 - x)  # distance to 0 on the circle
     r2 = (d[:, None, None] ** 2 + d[None, :, None] ** 2
           + d[None, None, :] ** 2) / ell**2
-    kern = np.zeros((n, n, n))
-    inside = r2 < 1.0
-    kern[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    kern = bump(r2)
     kern *= n**3 / kern.sum()
     return _fft.rfftn(kern).real / n**3
 
@@ -424,7 +423,7 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with any |k_i| beyond the 2/3 (per-axis) cutoff."""
     g = f.grid
-    kmax = int(np.floor(g.dealias_fraction * g.nyquist))
+    kmax = g.n // 3  # floor(2/3 * n/2)
     kx, ky, kz = g.wavenumbers()
     mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & (np.abs(kz) <= kmax)
     return SpectralField(g, f.rank, f.coeffs * mask, f.mean_zero)
@@ -477,31 +476,6 @@ def grid_l2_norm_squared(samples: np.ndarray, rank: str = "vector3") -> float:
 # ---------------------------------------------------------------------------
 # symmetric-tensor helpers
 # ---------------------------------------------------------------------------
-
-def sym_to_full(samples6: np.ndarray) -> np.ndarray:
-    """(6, ...) component array -> (3, 3, ...) full symmetric tensor."""
-    out = np.empty((3, 3) + samples6.shape[1:], dtype=samples6.dtype)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = samples6[SYM_SLOT[(i, j)]]
-    return out
-
-
-def full_to_sym(full: np.ndarray) -> np.ndarray:
-    """(3, 3, ...) symmetric tensor -> (6, ...) component array."""
-    return np.stack([full[i, j] for (i, j) in SYM_INDEX])
-
-
-def deviatoric(f: SpectralField) -> SpectralField:
-    """Remove the pointwise trace of a symmetric tensor field."""
-    if f.rank != "symtensor3x3":
-        raise ValueError("deviatoric expects a symtensor3x3 field")
-    c = f.coeffs.copy()
-    tr = (c[0] + c[3] + c[5]) / 3.0
-    for slot in (0, 3, 5):
-        c[slot] -= tr
-    return SpectralField(f.grid, "symtensor3x3", c, f.mean_zero)
-
 
 def trace_defect(f: SpectralField) -> float:
     """Grid sup-norm of the pointwise trace of a symmetric tensor field."""

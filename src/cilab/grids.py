@@ -15,13 +15,10 @@ class GridSpec:
     """
 
     n: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @property
     def nyquist(self) -> int:

@@ -11,8 +11,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy import fft as _fft
 
-from .fields import RANK_COMPONENTS, SpectralField, to_grid
-from .grids import GridSpec
+from .fields import SpectralField, _dcomp
 
 
 @dataclass
@@ -29,7 +28,6 @@ class HolderNormReport:
     c1: float
     c2: float = 0.0
     seminorms: dict = field(default_factory=dict)
-    method: str = "grid_max_quotient"
 
     def value(self, order: float) -> float:
         """Full C^{N+kappa} estimate; ``order`` must be the order the report
@@ -47,25 +45,19 @@ class HolderNormReport:
 
 
 def _derivative_levels(f: SpectralField, up_to: int):
-    """Grid samples of all derivatives D^alpha f grouped by |alpha|."""
+    """Grid samples of all derivatives D^alpha f grouped by |alpha|, with the
+    multipliers of ``fields.differential``."""
     g = f.grid
     n = g.n
-    kx, ky, kz = g.wavenumbers()
-    mults = (2j * np.pi * kx, 2j * np.pi * ky, 2j * np.pi * kz)
-    levels = {0: [f.coeffs]}
-    for level in range(1, up_to + 1):
-        stack = []
+    out = {}
+    for level in range(up_to + 1):
+        out[level] = []
         for alpha in combinations_with_replacement(range(3), level):
             c = f.coeffs
             for ax in alpha:
-                c = c * mults[ax]
-            stack.append(c)
-        levels[level] = stack
-    out = {}
-    for level, stack in levels.items():
-        grids = [_fft.irfftn(c * n**3, s=(n, n, n), axes=(1, 2, 3))
-                 for c in stack]
-        out[level] = grids
+                c = _dcomp(g, c, ax)
+            out[level].append(_fft.irfftn(c * n**3, s=(n, n, n),
+                                          axes=(1, 2, 3)))
     return out
 
 
@@ -119,8 +111,3 @@ def holder_norm(f: SpectralField, order: float, n_pairs: int = 10000,
             levels[n_whole], kappa, n_pairs, rng)
     return report
 
-
-def holder_value(f: SpectralField, order: float, n_pairs: int = 4000,
-                 seed: int = 0) -> float:
-    """Convenience wrapper: the scalar C^{order} estimate."""
-    return holder_norm(f, order, n_pairs=n_pairs, seed=seed).value(order)

@@ -139,24 +139,6 @@ class ParameterLadder:
             out.append("(ladder) ell_q not strictly decreasing")
         return out
 
-    def energy_band(self) -> tuple:
-        """Admissible band for the prescribed energy in onsager mode."""
-        return (self.lam[1] ** (2.5 * self.alpha),
-                self.lam[1] ** (3.0 * self.alpha))
-
-    def describe(self) -> str:
-        rows = [f"ladder mode={self.mode} a={self.a} b={self.b} "
-                f"alpha={self.alpha} beta={self.beta} L={self.L} "
-                f"admissible={self.admissible}"]
-        for q in range(self.q_max + 1):
-            rows.append(
-                f"  q={q} lambda={self.lam[q]:.0f} delta={self.delta[q]:.6g} "
-                f"ell={self.ell[q]:.6g} iota={self.iota[q]:.6g} "
-                f"tau={self.tau[q]:.6g}")
-        for v in self.violations:
-            rows.append("  violated " + v)
-        return "\n".join(rows)
-
 
 def ladder(a: float, b: float, alpha: float, beta: float, L: float,
            mode: str = "onsager", q_max: int = 4, **kw) -> ParameterLadder:

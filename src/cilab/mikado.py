@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ModeTable, SpectralField, zeros, outer_sym
+from .fields import SYM_INDEX, SYM_WEIGHT, ModeTable, SpectralField, zeros
 from .grids import GridSpec
 
 
@@ -48,15 +48,6 @@ _FAMILY_SHIFTS = (
      (0.7375, 0.8875, 0.9625), (0.3500, 0.9500, 0.6250)),
 )
 
-_VEC_SLOTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _sym_to_vec6(R):
-    """Symmetric 3x3 (or field of them) -> (xx,yy,zz,xy,xz,yz) layout."""
-    R = np.asarray(R)
-    return np.stack([R[i, j] for (i, j) in _VEC_SLOTS])
-
-
 def _axis_frame(numer):
     """A_xi = the coordinate axis in the zero slot of the direction."""
     zero_slots = [i for i, v in enumerate(numer) if v == 0]
@@ -81,35 +72,24 @@ class DirectionFamily:
     gram: np.ndarray = field(init=False)
     gram_inv: np.ndarray = field(init=False)
     id_coefficients: np.ndarray = field(init=False)
-    ball_margin_frobenius: float = field(init=False)
-    ball_margin_operator: float = field(init=False)
+    dual_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self._validate_rational()
         d = self.directions()
-        cols = [_sym_to_vec6(np.outer(x, x)) for x in d]
-        self.gram = np.stack(cols, axis=1)
+        # columns: xi (x) xi in the fields.SYM_INDEX component layout
+        self.gram = np.stack([d[:, i] * d[:, j] for (i, j) in SYM_INDEX])
         det = np.linalg.det(self.gram)
         if abs(det) < 1e-12:
             raise CertificationError("gram matrix is singular")
         self.gram_inv = np.linalg.inv(self.gram)
-        self.id_coefficients = self.gram_inv @ np.array([1., 1., 1., 0., 0., 0.])
+        self.id_coefficients = decomposition_coefficients(np.eye(3), self)
         if self.id_coefficients.min() <= 0:
             raise CertificationError("identity coefficients not all positive")
-        fr, op = [], []
-        for row in self.gram_inv:
-            dual_f = np.sqrt(row[0]**2 + row[1]**2 + row[2]**2
-                             + 0.5 * (row[3]**2 + row[4]**2 + row[5]**2))
-            m = np.array([[row[0], row[3] / 2, row[4] / 2],
-                          [row[3] / 2, row[1], row[5] / 2],
-                          [row[4] / 2, row[5] / 2, row[2]]])
-            dual_op = np.abs(np.linalg.eigvalsh(m)).sum()  # nuclear norm
-            fr.append(dual_f)
-            op.append(dual_op)
-        self.ball_margin_frobenius = float(
-            np.min(self.id_coefficients - 0.5 * np.array(fr)))
-        self.ball_margin_operator = float(
-            np.min(self.id_coefficients - 0.5 * np.array(op)))
+        # c_i(R) = <M_i, R>_F with M_i = row_i / SYM_WEIGHT, so the Frobenius
+        # dual norm of c_i is |M_i|_F = sqrt(sum row_i^2 / SYM_WEIGHT)
+        self.dual_norms = np.sqrt(np.sum(self.gram_inv**2 / SYM_WEIGHT,
+                                         axis=1))
 
     def _validate_rational(self):
         den = self.denominator
@@ -134,12 +114,7 @@ class DirectionFamily:
     def certified_radius(self) -> float:
         """Exact radius (Frobenius) of the ball around Id on which all
         decomposition coefficients stay positive."""
-        out = np.inf
-        for i, row in enumerate(self.gram_inv):
-            dual = np.sqrt(row[0]**2 + row[1]**2 + row[2]**2
-                           + 0.5 * (row[3]**2 + row[4]**2 + row[5]**2))
-            out = min(out, self.id_coefficients[i] / dual)
-        return float(out)
+        return float(np.min(self.id_coefficients / self.dual_norms))
 
     def gamma_derivative_sup(self, n_samples: int = 400, seed: int = 0) -> float:
         """Finite-difference sup of |grad gamma_xi| over the certified ball
@@ -154,7 +129,7 @@ class DirectionFamily:
             e *= rng.uniform(0, r) / np.linalg.norm(e)
             base = np.eye(3) + e
             g0 = gamma_coefficients(base, self)
-            for (i, j) in _VEC_SLOTS:
+            for (i, j) in SYM_INDEX:
                 d = np.zeros((3, 3))
                 d[i, j] = d[j, i] = h
                 if np.linalg.norm(e + d) >= 0.5:
@@ -193,7 +168,7 @@ def decomposition_coefficients(R, family: DirectionFamily) -> np.ndarray:
     (3, 3, ...); returns (6,) or (6, ...).
     """
     R = np.asarray(R, dtype=float)
-    v = _sym_to_vec6(R)
+    v = np.stack([R[i, j] for (i, j) in SYM_INDEX])
     return np.einsum("ab,b...->a...", family.gram_inv, v)
 
 
@@ -265,12 +240,12 @@ def _v_coefficients(k, psi_c, xi, nl):
 
 
 def _profile_modes(family: DirectionFamily, row: int, lam: int,
-                   grid: GridSpec, guard_band: int | None):
-    """Admissible profile lattice modes k = m1*K_A + m2*K_B inside the grid."""
+                   grid: GridSpec):
+    """Admissible profile lattice modes k = m1*K_A + m2*K_B inside the grid,
+    |k_i| <= n/2 - n/8 (a guard band of n/8 below Nyquist)."""
     ka = lam * family.n_star * family.frame_a[row]          # integer
     kb = lam * family.frame_b[row]                          # n_star*B integer
-    keep = grid.nyquist - (grid.n // 8 if guard_band is None else guard_band)
-    keep = min(keep, grid.nyquist - 1)
+    keep = grid.nyquist - grid.n // 8
     mmax = int(keep // min(np.max(np.abs(ka)), np.max(np.abs(kb))) + 1)
     ks, ms = [], []
     for m1 in range(-mmax, mmax + 1):
@@ -288,11 +263,10 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
         raise ValueError(
             f"pipe profile unresolvable: lambda={lam} with n_star="
             f"{family.n_star} leaves no admissible modes on grid n={grid.n}")
-    return np.array(ks, dtype=np.int64), np.array(ms, dtype=np.int64), keep
+    return np.array(ks, dtype=np.int64), np.array(ms, dtype=np.int64)
 
 
 def build_mikado(xi, lam: int, family: DirectionFamily, grid: GridSpec,
-                 guard_band: int | None = None,
                  sigma: float | None = None) -> MikadoFlow:
     """Build the pipe flow for one direction at frequency ``lam``.
 
@@ -311,7 +285,7 @@ def build_mikado(xi, lam: int, family: DirectionFamily, grid: GridSpec,
     if lam < 1 or int(lam) != lam:
         raise ValueError("lambda must be a positive integer")
     lam = int(lam)
-    kvecs, mvecs, keep = _profile_modes(family, row, lam, grid, guard_band)
+    kvecs, mvecs = _profile_modes(family, row, lam, grid)
     m_eff = np.max(np.abs(mvecs))
     if sigma is None:
         sigma = min(max(1.1 / m_eff, 0.10), 0.80)
@@ -345,10 +319,9 @@ def build_mikado(xi, lam: int, family: DirectionFamily, grid: GridSpec,
 
 
 def build_family_flows(family: DirectionFamily, lam: int, grid: GridSpec,
-                       guard_band: int | None = None,
                        sigma: float | None = None) -> list:
     """All six pipe flows of a family at the same frequency."""
-    return [build_mikado(row, lam, family, grid, guard_band, sigma)
+    return [build_mikado(row, lam, family, grid, sigma)
             for row in range(6)]
 
 
@@ -384,7 +357,7 @@ def support_overlap(flows) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# universal constants
 # ---------------------------------------------------------------------------
 
 def _profile_2d(sigma_ref: float, m_max: int = 48, n_eval: int = 192):
@@ -437,12 +410,9 @@ def universal_constants(family0: DirectionFamily, family1: DirectionFamily,
     gamma_sup = max(f.gamma_derivative_sup() for f in (family0, family1))
     gamma_c0 = 0.0  # exact sup of |gamma| over the certified ball
     for fam in (family0, family1):
-        for i, row in enumerate(fam.gram_inv):
-            dual = np.sqrt(row[0]**2 + row[1]**2 + row[2]**2
-                           + 0.5 * (row[3]**2 + row[4]**2 + row[5]**2))
-            r = min(fam.certified_radius(), 0.5)
-            gamma_c0 = max(gamma_c0,
-                           float(np.sqrt(fam.id_coefficients[i] + r * dual)))
+        r = min(fam.certified_radius(), 0.5)
+        gamma_c0 = max(gamma_c0, float(np.max(
+            np.sqrt(fam.id_coefficients + r * fam.dual_norms))))
     m_over_cl = gamma_c0 + gamma_sup
     m_bar = 100.0 * cardinality * m_over_cl
     return {
@@ -454,31 +424,3 @@ def universal_constants(family0: DirectionFamily, family1: DirectionFamily,
         "m_bar_min": float(m_bar),
     }
 
-
-def certificate_text(family: DirectionFamily) -> str:
-    lines = [
-        "cilab direction-family certificate v1",
-        f"family_index = {family.index}",
-        f"denominator = {family.denominator}",
-        f"n_star = {family.n_star}",
-    ]
-    for row in range(6):
-        lines.append(
-            "direction %d = %s  frame_a = %s  frame_b = %s  shift = %s"
-            % (row, tuple(family.numerators[row]), tuple(family.frame_a[row]),
-               tuple(family.frame_b[row]),
-               tuple(round(s, 6) for s in family.shifts[row])))
-    lines.append("id_coefficients = %s"
-                 % " ".join("%.12g" % c for c in family.id_coefficients))
-    lines.append(f"ball_margin_frobenius = {family.ball_margin_frobenius:.12g}")
-    lines.append(f"ball_margin_operator = {family.ball_margin_operator:.12g}")
-    lines.append(f"certified_radius_frobenius = {family.certified_radius():.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def write_certificates(path) -> None:
-    """Regenerate the plain-text family certificates (CLI `certify`)."""
-    text = "".join(certificate_text(build_direction_family(i)) + "\n"
-                   for i in (0, 1))
-    with open(path, "w") as fh:
-        fh.write(text)

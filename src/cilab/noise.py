@@ -16,18 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cutoffs import bump, bump_deriv
 from .fields import ModeTable, SpectralField, zeros
 from .grids import GridSpec
 
 _SQRT2 = np.sqrt(2.0)
-
-# standard bump on (0,1); one-sided mollification kernel
-def _bump(s):
-    out = np.zeros_like(s)
-    inside = (s > 0.0) & (s < 1.0)
-    u = 2.0 * s[inside] - 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u * u))
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,6 +99,10 @@ class SpectrumSpec:
     def k_squared(self) -> np.ndarray:
         return np.array([sum(v * v for v in m.k) for m in self.modes], float)
 
+    def sobolev_weight(self, s: float) -> np.ndarray:
+        """(1 + 4 pi^2 |k|^2)^s per mode: the symbol of (I - Lap)^s."""
+        return (1.0 + 4.0 * np.pi**2 * self.k_squared()) ** s
+
     def orthonormality_defect(self) -> float:
         """Max deviation of the basis Gram matrix from the identity.
 
@@ -127,9 +124,7 @@ class SpectrumSpec:
 
 def trace(spec: SpectrumSpec, s: float = 0.0) -> float:
     """Tr((I - Lap)^s GG*) = sum_k c_k (1 + 4 pi^2 |k|^2)^s."""
-    c = spec.eigenvalues()
-    ksq = spec.k_squared()
-    return float(np.sum(c * (1.0 + 4.0 * np.pi**2 * ksq) ** s))
+    return float(np.sum(spec.eigenvalues() * spec.sobolev_weight(s)))
 
 
 class NoisePath:
@@ -183,8 +178,7 @@ class NoisePath:
     def hs_norm(self, i: int, s: float) -> float:
         """H^s norm of B(t_i)."""
         w = self.spec.eigenvalues() * self.beta[:, i] ** 2
-        mult = (1.0 + 4.0 * np.pi**2 * self.spec.k_squared()) ** s
-        return float(np.sqrt(np.sum(w * mult)))
+        return float(np.sqrt(np.sum(w * self.spec.sobolev_weight(s))))
 
     def index_of(self, t: float) -> int:
         return int(round(t / self.dt))
@@ -220,11 +214,11 @@ class MollifiedPath:
         self.iota = float(iota)
         n_taps = int(np.ceil(iota / path.dt))
         s = np.arange(1, n_taps) * path.dt       # quadrature nodes in (0, iota)
-        u = s / iota
-        w = _bump(u)
+        r = 2.0 * (s / iota) - 1.0               # the kernel is bump(r^2)
+        w = bump(r * r)
         total = w.sum() * path.dt
         self.weights = w * path.dt / total        # sum to 1 exactly
-        dw = _dbump(u) / iota
+        dw = bump_deriv(r) * 2.0 / iota
         self.dweights = dw * path.dt / total
         self.lags = np.arange(1, n_taps)
         # mollified per-mode coordinates and their time derivative: a causal
@@ -247,14 +241,6 @@ class MollifiedPath:
     def dfield_at(self, i: int, grid: GridSpec) -> SpectralField:
         """Analytic-kernel time derivative of z at t_i."""
         return self.path._assemble(self.path._roots * self.dbeta_z[:, i], grid)
-
-
-def _dbump(u):
-    out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    v = 2.0 * u[inside] - 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - v * v)) * (-2.0 * v / (1.0 - v * v) ** 2) * 2.0
-    return out
 
 
 def mollify_time_one_sided(path: NoisePath, iota: float) -> MollifiedPath:
@@ -309,7 +295,7 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
     threshold = L / sobolev_constant
     kappa = 0.5 - alpha
     w = path.spec.eigenvalues()
-    mult = (1.0 + 4.0 * np.pi**2 * path.spec.k_squared()) ** s
+    mult = path.spec.sobolev_weight(s)
 
     def hs(rows):
         """H^s norms of the mode vectors in the rows, as in ``hs_norm``."""

@@ -10,7 +10,8 @@ from cilab import (
 )
 from cilab.fields import (
     SYM_SLOT, ModeTable, c0_norm, dealias, divergence_defect,
-    grid_l2_norm_squared, inner, l2_norm, trace_defect, zeros,
+    grid_l2_norm_squared, inner, l2_norm, mollifier_multiplier, trace_defect,
+    zeros,
 )
 
 GRID = GridSpec(32)
@@ -263,6 +264,20 @@ class TestMollify:
         f = zeros(GRID, "scalar")
         with pytest.raises(ValueError):
             mollify_space(f, 1.5)
+
+    def test_multiplier_matches_reference(self):
+        from scipy import fft
+        n, ell = 16, 0.3
+        x = np.arange(n) / n
+        d = np.minimum(x, 1.0 - x)
+        r2 = (d[:, None, None] ** 2 + d[None, :, None] ** 2
+              + d[None, None, :] ** 2) / ell**2
+        inside = r2 < 1.0
+        kern = np.zeros((n, n, n))
+        kern[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+        kern *= n**3 / kern.sum()
+        ref = fft.rfftn(kern).real / n**3
+        assert np.array_equal(mollifier_multiplier(GridSpec(n), ell), ref)
 
 
 class TestDealias:

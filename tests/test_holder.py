@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cilab import GridSpec, from_grid
+from cilab import GridSpec, differential, from_grid, to_grid
 from cilab.fields import zeros
 from cilab.holder import holder_norm
 
@@ -67,3 +67,14 @@ def test_lower_bound_of_known_seminorm():
     f = from_grid(f_samples, GRID, "scalar")
     rep = holder_norm(f, theta, n_pairs=20000)
     assert rep.seminorms[theta] > 1.0  # genuinely rough at exponent 0.5
+
+
+def test_c1_matches_differential_with_nyquist_content():
+    # white noise has modes on the Nyquist planes |k_i| = n/2, where every
+    # derivative of a real grid field is zero
+    rng = np.random.default_rng(0)
+    f = from_grid(rng.standard_normal((16,) * 3), GridSpec(16), "scalar")
+    rep = holder_norm(f, 1.0)
+    grad = to_grid(differential(f, "grad"))
+    expected = sum(float(np.max(np.abs(g))) for g in grad)
+    assert rep.c1 - rep.c0 == pytest.approx(expected, rel=1e-12)

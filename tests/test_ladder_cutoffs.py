@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cilab.ladder import ladder
-from cilab.cutoffs import (ChiFamily, EtaFamily, bump_cdf, smoothstep,
-                           smoothstep_deriv)
+from cilab.cutoffs import (ChiFamily, EtaFamily, bump, bump_cdf, bump_deriv,
+                           smoothstep, smoothstep_deriv)
 
 
 class TestLadder:
@@ -82,6 +82,20 @@ class TestSmoothstep:
         h = 1e-6
         fd = (smoothstep(s + h) - smoothstep(s - h)) / (2 * h)
         assert np.max(np.abs(fd - smoothstep_deriv(s))) < 1e-6
+
+
+class TestBump:
+    def test_exact_zero_outside(self):
+        assert bump(1.0) == 0.0 and bump(2.5) == 0.0
+        assert bump_deriv(1.0) == 0.0 and bump_deriv(-1.0) == 0.0
+        assert bump_deriv(1.5) == 0.0
+        assert bump(0.0) == np.exp(-1.0)
+
+    def test_derivative_matches(self):
+        r = np.linspace(-0.95, 0.95, 39)
+        h = 1e-6
+        fd = (bump((r + h) ** 2) - bump((r - h) ** 2)) / (2 * h)
+        assert np.max(np.abs(fd - bump_deriv(r))) < 1e-6
 
 
 class TestChi:

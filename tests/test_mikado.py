@@ -54,6 +54,35 @@ class TestDirectionFamily:
             build_direction_family(2)
 
 
+class TestCertifiedRadius:
+    @staticmethod
+    def dual_matrices(fam):
+        """M_i symmetric with <M_i, R>_F = c_i(R), from c on a basis."""
+        m = np.empty((6, 3, 3))
+        for a in range(3):
+            for b in range(3):
+                e = np.zeros((3, 3))
+                e[a, b] += 0.5
+                e[b, a] += 0.5
+                m[:, a, b] = decomposition_coefficients(e, fam)
+        return m
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_radius_is_sharp(self, index):
+        fam = (FAM0, FAM1)[index]
+        m = self.dual_matrices(fam)
+        norms = np.sqrt(np.sum(m**2, axis=(1, 2)))
+        radii = fam.id_coefficients / norms
+        i_star = int(np.argmin(radii))
+        r_star = fam.certified_radius()
+        assert r_star == pytest.approx(radii[i_star], rel=1e-14)
+        # the nearest point of the ball's boundary where c_{i*} vanishes
+        c = decomposition_coefficients(
+            np.eye(3) - r_star * m[i_star] / norms[i_star], fam)
+        assert abs(c[i_star]) < 1e-14
+        assert np.all(np.delete(c, i_star) > 0)
+
+
 class TestGamma:
     def test_identity_reconstruction(self):
         gam = gamma_coefficients(np.eye(3), FAM0)
