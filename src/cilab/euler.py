@@ -4,6 +4,13 @@ advecting velocity by backward characteristics.
 The solver integrates  d_t v = -P[div((v+Z) (x) (v+Z))]  pseudo-spectrally
 with an explicit fourth-order scheme; Leray projection absorbs the pressure
 so divergence stays at rounding.  Products are dealiased by the 2/3 rule.
+
+The right-hand side is one fused kernel, ``_Advection``: u = mask (v+Z), one
+3-component inverse transform, the 6 products u_i u_j, one 6-component
+forward transform, and -P div as one 6 -> 3 multiplier on the 2/3 box.  Its
+mask and multipliers are the per-n ``fields.dealias_tables`` that
+``fields.dealias`` reads too.  One kernel and its work arrays serve every
+right-hand side of a solve.
 """
 
 from dataclasses import dataclass
@@ -12,8 +19,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SpectralField, c0_norm, dealias, differential, from_grid, leray_project,
-    outer_sym, to_grid,
+    SYM_INDEX, SYM_SLOT, SpectralField, _check_same, _dcomp, c0_norm,
+    dealias_tables, differential, from_grid, leray_project,
 )
 from .grids import GridSpec
 from .holder import holder_norm
@@ -45,36 +52,154 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     return min(0.25 / total, horizon)
 
 
+class _Advection:
+    """-P[div((v+z) (x) (v+z))], dealiased, on one grid.
+
+    Holds the dealiased velocity ``u`` and the product tensor between calls,
+    so repeated calls allocate only the transforms' outputs; a call may take
+    its input v in ``u`` itself.  Both transforms run axis by axis and skip
+    the lines that are zero (inverse) or never reach the 2/3 box (forward).
+    ``out`` is written on the box only: outside it must already be zero.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        self.grid = grid
+        self.tables = dealias_tables(n)
+        self.u = np.empty((3, n, n, n // 2 + 1), dtype=complex)
+        self._prod = np.empty((6, n, n, n))
+
+    def __call__(self, v: SpectralField, z: SpectralField | None,
+                 out: np.ndarray) -> np.ndarray:
+        tab, n = self.tables, self.grid.n
+        m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
+        u = self.u
+        if z is None:
+            np.multiply(v.coeffs, tab.mask, out=u)
+        else:
+            _check_same(v, z)
+            np.add(v.coeffs, z.coeffs, out=u)
+            u *= tab.mask
+        for lines in (u[:, :, :m, :m], u[:, :, hi:, :m]):
+            _transform_lines(_fft.ifft, lines, 1)
+        _transform_lines(_fft.ifft, u[..., :m], 2)
+        ug = _fft.irfft(u, n, axis=3, norm="forward")
+        prod = self._prod
+        for slot, (i, j) in enumerate(SYM_INDEX):
+            np.multiply(ug[i], ug[j], out=prod[slot])
+        del ug
+        t = _fft.rfft(prod, axis=3, norm="forward")
+        _transform_lines(_fft.fft, t[..., :m], 1)
+        for lines in (t[:, :m, :, :m], t[:, hi:, :, :m]):
+            _transform_lines(_fft.fft, lines, 2)
+        t = t[tab.box]
+        d = tab.deriv
+        div = np.empty((3,) + t.shape[1:], dtype=complex)
+        for i in range(3):
+            np.multiply(d[0], t[SYM_SLOT[i, 0]], out=div[i])
+            div[i] += d[1] * t[SYM_SLOT[i, 1]]
+            div[i] += d[2] * t[SYM_SLOT[i, 2]]
+        del t
+        # -P div = -(div - k (k.div) / |k|^2), and d = 2 pi i k
+        #        = -(div + d (d.div) / (4 pi^2 |k|^2))
+        s = (d[0] * div[0] + d[1] * div[1] + d[2] * div[2]) * tab.inv_lap
+        for i in range(3):
+            div[i] += d[i] * s
+        out[tab.box] = -div
+        return out
+
+
+def _transform_lines(fft, lines: np.ndarray, axis: int) -> None:
+    """``fft`` of ``lines`` along ``axis``, left in ``lines``.  scipy.fft
+    transforms complex input in place under ``overwrite_x``, but does not
+    promise to."""
+    out = fft(lines, axis=axis, norm="forward", overwrite_x=True)
+    if (out.ctypes.data, out.strides) != (lines.ctypes.data, lines.strides):
+        lines[...] = out
+
+
 def _advection_rhs(v: SpectralField,
                    z: SpectralField | None) -> SpectralField:
-    """-P[div((v+z) (x) (v+z))], dealiased."""
-    u = dealias(v if z is None else v + z)
-    ug = to_grid(u)
-    tens = dealias(from_grid(outer_sym(ug, ug), u.grid, "symtensor3x3"))
-    return -1.0 * leray_project(differential(tens, "div"))
+    """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule: one call of the
+    solver's fused kernel ``_Advection``, whose mask is the one
+    ``fields.dealias`` reads (``fields.dealias_tables``).  The result is zero
+    outside the 2/3 box and at the mean, whatever v and z hold outside it."""
+    out = np.zeros_like(v.coeffs)
+    _Advection(v.grid)(v, z, out)
+    return SpectralField(v.grid, "vector3", out, mean_zero=True)
 
 
 def _cfl_dt(v: SpectralField, z: SpectralField | None) -> float:
+    """CFL step from n max|u| + max|grad u|, with the gradient transformed
+    one row d_j u_i (j = 1..3) at a time; nan for a non-finite state."""
     u = v if z is None else v + z
     umax = c0_norm(u)
-    from .fields import gradient_tensor
-    gmax = float(np.abs(gradient_tensor(u)).max()) if umax > 0 else 0.0
+    gmax = 0.0
+    if umax > 0:
+        g = u.grid
+        for ui in u.coeffs:
+            row = np.stack([_dcomp(g, ui, j) for j in range(3)])
+            row = _fft.ifftn(row, axes=(1, 2), norm="forward",
+                             overwrite_x=True)
+            row = _fft.irfft(row, g.n, axis=3, norm="forward")
+            gmax = max(gmax, float(np.abs(row).max()))
     speed = umax * u.grid.n + gmax
+    if not np.isfinite(speed):
+        return np.nan
     if speed == 0:
         return np.inf
     return _CFL_FACTOR / speed
 
 
-def _rk4_step(v: SpectralField, z_eval, t: float,
-              dt: float) -> SpectralField:
-    z0 = z_eval(t) if z_eval else None
-    zm = z_eval(t + 0.5 * dt) if z_eval else None
-    z1 = z_eval(t + dt) if z_eval else None
-    k1 = _advection_rhs(v, z0)
-    k2 = _advection_rhs(v + (0.5 * dt) * k1, zm)
-    k3 = _advection_rhs(v + (0.5 * dt) * k2, zm)
-    k4 = _advection_rhs(v + dt * k3, z1)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _RK4:
+    """Classical RK4 steps of the drifted system on one grid.
+
+    The current k and the kernel's velocity array, which holds the stages,
+    are reused by every step; each step returns a new coefficient array.
+    """
+
+    def __init__(self, grid: GridSpec, z_eval):
+        self.grid = grid
+        self.z_eval = z_eval
+        self.rhs = _Advection(grid)
+        self.k = np.zeros_like(self.rhs.u)   # the kernel writes its box only
+
+    def _z(self, t):
+        return self.z_eval(t) if self.z_eval else None
+
+    def _stage(self, v: SpectralField, k: np.ndarray,
+               c: float) -> SpectralField:
+        """v + c k, in the kernel's velocity array."""
+        np.multiply(k, c, out=self.rhs.u)
+        self.rhs.u += v.coeffs
+        return SpectralField(self.grid, "vector3", self.rhs.u, v.mean_zero)
+
+    def first_k(self, v: SpectralField, t: float) -> np.ndarray:
+        """k1 at (v, t) in its own array, for steps that share it."""
+        return self.rhs(v, self._z(t), np.zeros_like(self.k))
+
+    def step(self, v: SpectralField, t: float, dt: float,
+             k1: np.ndarray | None = None) -> SpectralField:
+        """v(t + dt) from v(t); ``k1`` is reused if given."""
+        k = self.k
+        if k1 is None:
+            k1 = self.rhs(v, self._z(t), k)
+        new = k1.copy()   # k1 + 2 k2 + 2 k3 + k4, then v(t + dt)
+        zm = self._z(t + 0.5 * dt)
+        self.rhs(self._stage(v, k1, 0.5 * dt), zm, k)          # k2
+        stage = self._stage(v, k, 0.5 * dt)
+        k *= 2.0
+        new += k
+        self.rhs(stage, zm, k)                                  # k3
+        del zm   # one drift field alive at a time
+        stage = self._stage(v, k, dt)
+        k *= 2.0
+        new += k
+        self.rhs(stage, self._z(t + dt), k)                     # k4
+        new += k
+        new *= dt / 6.0
+        new += v.coeffs
+        return SpectralField(self.grid, "vector3", new, v.mean_zero)
 
 
 def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
@@ -82,16 +207,22 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     """Integrate the drifted Euler system from t0 over the requested times.
 
     ``z_eval`` is a callable t -> SpectralField (or None for no drift);
-    ``out_times`` must be increasing with out_times[0] == t0.  The initial
-    field is returned unchanged as the first sample.  Returns (fields,
+    ``out_times`` must be strictly increasing with out_times[0] == t0.  The
+    initial field is returned unchanged as the first sample; every later
+    sample has its own coefficient array.  Returns (fields,
     diagnostics) where diagnostics records the CFL step count, an embedded
     step-doubling truncation estimate, and the kinetic energy of v+Z at
-    each output time.
+    each output time.  A state or drift that is not finite, or a state
+    beyond ``cfg.blowup_guard``, raises ``RuntimeError`` naming the step and
+    the time.
     """
     cfg = cfg or SolverConfig()
     out_times = np.asarray(out_times, dtype=float)
     if abs(out_times[0] - t0) > 1e-12:
         raise ValueError("out_times must start at t0")
+    if not np.all(np.diff(out_times) > 0):
+        raise ValueError("out_times must be strictly increasing")
+    rk4 = _RK4(v0.grid, z_eval)
     v = v0
     fields = [v0]
     n_steps = 0
@@ -101,24 +232,32 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     for a, b in zip(out_times[:-1], out_times[1:]):
         span = b - a
         dt_max = _cfl_dt(v, z_eval(a) if z_eval else None)
+        if np.isnan(dt_max):
+            raise RuntimeError(f"non-finite state or drift at step {n_steps} "
+                               f"(t={a:.4f})")
         n_sub = max(1, int(np.ceil(span / dt_max)))
         dt = span / n_sub
         t = a
         for _ in range(n_sub):
             if first:
-                coarse = _rk4_step(v, z_eval, t, dt)
-                half = _rk4_step(v, z_eval, t, dt / 2)
-                fine = _rk4_step(half, z_eval, t + dt / 2, dt / 2)
+                # the coarse step and the first half step share k1
+                k1 = rk4.first_k(v, t)
+                coarse = rk4.step(v, t, dt, k1)
+                half = rk4.step(v, t, dt / 2, k1)
+                del k1
+                fine = rk4.step(half, t + dt / 2, dt / 2)
                 trunc = c0_norm(coarse - fine) / dt  # per unit time
                 v = fine
                 first = False
             else:
-                v = _rk4_step(v, z_eval, t, dt)
+                v = rk4.step(v, t, dt)
             t += dt
             n_steps += 1
-            if c0_norm(v) > cfg.blowup_guard:
-                raise RuntimeError(
-                    f"field magnitude blow-up at step {n_steps} (t={t:.4f})")
+            size = c0_norm(v)
+            if not size <= cfg.blowup_guard:   # also catches nan
+                what = ("field magnitude blow-up" if np.isfinite(size)
+                        else "non-finite state or drift")
+                raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
         fields.append(v)
         energies.append(_kinetic(v, z_eval, b))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),

@@ -10,6 +10,8 @@ under this convention.
 
 import struct
 import warnings
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as _fft
@@ -206,14 +208,14 @@ def from_grid(samples: np.ndarray, grid: GridSpec, rank: str,
     if samples.shape != (ncomp, n, n, n):
         raise ValueError(
             f"sample array has shape {samples.shape}, expected {(ncomp, n, n, n)}")
-    coeffs = _fft.rfftn(samples, axes=(1, 2, 3)) / grid.n**3
+    coeffs = _fft.rfftn(samples, axes=(1, 2, 3), norm="forward")
     return SpectralField(grid, rank, coeffs, mean_zero)
 
 
 def to_grid(f: SpectralField) -> np.ndarray:
     """Real grid samples; scalar fields come back as a bare (n,n,n) array."""
     n = f.grid.n
-    out = _fft.irfftn(f.coeffs * n**3, s=(n, n, n), axes=(1, 2, 3))
+    out = _fft.irfftn(f.coeffs, s=(n, n, n), axes=(1, 2, 3), norm="forward")
     return out[0] if f.rank == "scalar" else out
 
 
@@ -420,13 +422,52 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
     return SpectralField(f.grid, f.rank, f.coeffs * mult, f.mean_zero)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all modes with any |k_i| beyond the 2/3 (per-axis) cutoff."""
-    g = f.grid
-    kmax = g.n // 3  # floor(2/3 * n/2)
+class DealiasTables(NamedTuple):
+    """Read-only tables of the 2/3 rule on one grid (Orszag, J. Atmos. Sci.
+    1971): the box of modes with every |k_i| <= kmax = n // 3, and the
+    multipliers the advection kernel applies there.
+
+    ``box`` indexes the box in a (ncomp, n, n, n//2+1) coefficient array as
+    ``c[box]``; ``deriv[j]`` is d/dx_j on the box (from ``_dcomp``),
+    kept as the line along axis j that broadcasts over the box, and
+    ``inv_lap`` is 1/(4 pi^2 |k|^2) there, 0 at the mean.
+    """
+
+    kmax: int
+    mask: np.ndarray
+    box: tuple
+    deriv: tuple
+    inv_lap: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def dealias_tables(n: int) -> DealiasTables:
+    """The 2/3-rule tables of the n-point grid, built once per n."""
+    g = GridSpec(n)
+    kmax = n // 3  # floor(2/3 * n/2)
     kx, ky, kz = g.wavenumbers()
     mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & (np.abs(kz) <= kmax)
-    return SpectralField(g, f.rank, f.coeffs * mask, f.mean_zero)
+    lo_hi = np.r_[0:kmax + 1, n - kmax:n]
+    lo_hi.flags.writeable = False
+    box = (lo_hi[:, None], lo_hi[None, :], slice(0, kmax + 1))
+    deriv = []
+    for j in range(3):
+        # on the box d/dx_j depends on k_j alone: keep its line along axis j
+        line = tuple(slice(None) if a == j else slice(0, 1) for a in range(3))
+        deriv.append(_dcomp(g, mask.astype(float), j)[box][line].copy())
+    ksq = g.k_squared()[box].astype(float)
+    inv_lap = np.zeros_like(ksq)
+    inv_lap[ksq > 0] = 1.0 / (4.0 * np.pi**2 * ksq[ksq > 0])
+    for table in (mask, *deriv, inv_lap):
+        table.flags.writeable = False
+    return DealiasTables(kmax, mask, (slice(None),) + box, tuple(deriv),
+                         inv_lap)
+
+
+def dealias(f: SpectralField) -> SpectralField:
+    """Zero all modes with any |k_i| beyond the 2/3 (per-axis) cutoff."""
+    mask = dealias_tables(f.grid.n).mask
+    return SpectralField(f.grid, f.rank, f.coeffs * mask, f.mean_zero)
 
 
 # ---------------------------------------------------------------------------

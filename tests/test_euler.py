@@ -8,6 +8,7 @@ from cilab.euler import (
     momentum_residual, solve_euler_with_drift, solve_flow_map,
     time_derivative,
 )
+from cilab.euler import _advection_rhs
 
 GRID = GridSpec(32)
 
@@ -211,3 +212,98 @@ class TestResidual:
         resid, tol = momentum_residual(out, None, None, times[1] - times[0])
         # residual should be explained by the finite-difference tolerance
         assert resid[1:-1].max() < 10 * tol
+
+
+def _white(grid, seed, amp=1.0):
+    """Real field with content in every mode, the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    return from_grid(amp * rng.standard_normal((3,) + (grid.n,) * 3), grid,
+                     "vector3")
+
+
+def _reference_rhs(v, z):
+    """-P div((v+z) (x) (v+z)) by numpy.fft, with the 2/3 mask on every axis
+    and the projection Id - k k^T / |k|^2 written out."""
+    n = v.grid.n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    K = np.meshgrid(k, k, np.arange(n // 2 + 1), indexing="ij")
+    keep = np.ones(K[0].shape, bool)
+    for ki in K:
+        keep &= np.abs(ki) <= n // 3
+    c = v.coeffs if z is None else v.coeffs + z.coeffs
+    u = np.fft.irfftn(c * keep, s=(n,) * 3, axes=(1, 2, 3)) * n**3
+    tens = np.fft.rfftn(u[:, None] * u[None, :], axes=(2, 3, 4)) / n**3 * keep
+    div = sum(2j * np.pi * K[j] * tens[:, j] for j in range(3))
+    ksq = sum(ki * ki for ki in K)
+    kdiv = sum(K[i] * div[i] for i in range(3)) / np.where(ksq == 0, 1, ksq)
+    return -np.stack([div[i] - K[i] * kdiv for i in range(3)]), keep
+
+
+class TestAdvectionRHS:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("drift", [False, True])
+    def test_matches_reference(self, n, drift):
+        g = GridSpec(n)
+        v = _white(g, seed=n)
+        z = _white(g, seed=n + 1, amp=0.3) if drift else None
+        ref, keep = _reference_rhs(v, z)
+        out = _advection_rhs(v, z).coeffs
+        assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert np.all(out[:, ~keep] == 0.0)
+        assert np.all(out[:, 0, 0, 0] == 0.0)
+
+
+class TestSolverInputs:
+    @pytest.mark.parametrize("times", [[0.0, 0.01, 0.005], [0.0, 0.0, 0.01]])
+    def test_rejects_times_not_increasing(self, times):
+        v0 = smooth_div_free(GridSpec(16), 3, seed=20, amp=1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve_euler_with_drift(v0, None, 0.0, times)
+
+    def test_nan_initial_field(self):
+        v0 = smooth_div_free(GridSpec(16), 3, seed=21, amp=1.0)
+        v0.coeffs[1, 2, 1, 1] = np.nan
+        with pytest.raises(RuntimeError, match=r"step 0 \(t=0\.0000\)"):
+            solve_euler_with_drift(v0, None, 0.0, [0.0, 0.01])
+
+    @pytest.mark.parametrize("t_bad, step", [(0.0, 0), (0.005, 1)])
+    def test_nan_drift(self, t_bad, step):
+        g = GridSpec(16)
+        v0 = smooth_div_free(g, 3, seed=22, amp=1.0)
+        z = smooth_div_free(g, 2, seed=23, amp=0.2)
+        bad = z.copy()
+        bad.coeffs[0, 1, 0, 0] = np.nan
+
+        def z_eval(t):
+            return bad if t >= t_bad else z
+
+        # from t = 0 the CFL step sees it; later only the RK4 stages do, and
+        # the guard rejects the non-finite state after the step
+        with pytest.raises(RuntimeError, match=f"at step {step} "):
+            solve_euler_with_drift(v0, z_eval, 0.0, [0.0, 0.01, 0.02])
+
+
+class TestWorkArrays:
+    def test_interleaved_solves_are_reproducible(self):
+        g = GridSpec(16)
+        z = smooth_div_free(g, 2, seed=24, amp=0.3)
+        a = smooth_div_free(g, 4, seed=25, amp=1.0)
+        b = smooth_div_free(g, 5, seed=26, amp=2.0)
+        inputs = (a, b, a.copy())
+        times = np.linspace(0.0, 0.03, 4)
+        runs = [solve_euler_with_drift(f, lambda t: (1 + t) * z, 0.0, times)
+                for f in inputs]
+        (fa, da), (fb, _), (fa2, da2) = runs
+        # the first sample is the input itself, left unchanged
+        assert all(fields[0] is f for (fields, _), f in zip(runs, inputs))
+        assert np.array_equal(a.coeffs, inputs[2].coeffs)
+        assert all(np.array_equal(x.coeffs, y.coeffs)
+                   for x, y in zip(fa, fa2))
+        assert da["steps"] == da2["steps"]
+        assert da["truncation_per_time"] == da2["truncation_per_time"]
+        assert np.array_equal(da["energy"], da2["energy"])
+        assert not np.array_equal(fa[-1].coeffs, fb[-1].coeffs)
+        out = [f.coeffs for fields, _ in runs for f in fields]
+        for i, x in enumerate(out):
+            for y in out[i + 1:]:
+                assert not np.shares_memory(x, y)
