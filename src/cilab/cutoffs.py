@@ -72,15 +72,13 @@ def bump_deriv(r):
     return out if out.ndim else float(out)
 
 
-def window_times(tau: float, horizon: float):
-    """Anchor times t_{i-1} and count of windows covering [0, horizon].
+def window_count(tau: float, horizon: float) -> int:
+    """Number of gluing windows covering [0, horizon].
 
     The last window's rest interval J_m must reach past the horizon so the
     chi family stays a partition of unity on all of [0, horizon].
     """
-    n_windows = int(np.floor(max(horizon - tau / 3.0, 0.0) / tau)) + 2
-    anchors = np.array([max((i - 1) * tau, 0.0) for i in range(n_windows)])
-    return anchors, n_windows
+    return int(np.floor(max(horizon - tau / 3.0, 0.0) / tau)) + 2
 
 
 @dataclass
@@ -95,7 +93,7 @@ class ChiFamily:
 
     def __post_init__(self):
         horizon = float(self.times[-1])
-        _, m = window_times(self.tau, horizon)
+        m = window_count(self.tau, horizon)
         self.n_windows = m
         t = np.asarray(self.times)
         vals = np.zeros((m, len(t)))

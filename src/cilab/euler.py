@@ -7,10 +7,10 @@ so divergence stays at rounding.  Products are dealiased by the 2/3 rule.
 
 The right-hand side is one fused kernel, ``_Advection``: u = mask (v+Z), one
 3-component inverse transform, the 6 products u_i u_j, one 6-component
-forward transform, and -P div as one 6 -> 3 multiplier on the 2/3 box.  Its
-mask and multipliers are the per-n ``fields.dealias_tables`` that
-``fields.dealias`` reads too.  One kernel and its work arrays serve every
-right-hand side of a solve.
+forward transform, and -P div on the 2/3 box.  Its mask and multipliers are
+the box entries of the per-n ``fields.spectral_tables``, from which every
+operator of ``fields`` reads its multipliers too.  One kernel and its work
+arrays serve every right-hand side of a solve.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SYM_INDEX, SYM_SLOT, SpectralField, _check_same, _dcomp, c0_norm,
-    dealias_tables, differential, from_grid, leray_project,
+    SYM_INDEX, SYM_SLOT, SpectralField, _check_same, _dcomp, _leray, c0_norm,
+    differential, from_grid, leray_project, spectral_tables,
 )
 from .grids import GridSpec
 from .holder import holder_norm
@@ -65,7 +65,7 @@ class _Advection:
     def __init__(self, grid: GridSpec):
         n = grid.n
         self.grid = grid
-        self.tables = dealias_tables(n)
+        self.tables = spectral_tables(n)
         self.u = np.empty((3, n, n, n // 2 + 1), dtype=complex)
         self._prod = np.empty((6, n, n, n))
 
@@ -93,18 +93,14 @@ class _Advection:
         for lines in (t[:, :m, :, :m], t[:, hi:, :, :m]):
             _transform_lines(_fft.fft, lines, 2)
         t = t[tab.box]
-        d = tab.deriv
+        d = tab.box_deriv
         div = np.empty((3,) + t.shape[1:], dtype=complex)
         for i in range(3):
             np.multiply(d[0], t[SYM_SLOT[i, 0]], out=div[i])
             div[i] += d[1] * t[SYM_SLOT[i, 1]]
             div[i] += d[2] * t[SYM_SLOT[i, 2]]
         del t
-        # -P div = -(div - k (k.div) / |k|^2), and d = 2 pi i k
-        #        = -(div + d (d.div) / (4 pi^2 |k|^2))
-        s = (d[0] * div[0] + d[1] * div[1] + d[2] * div[2]) * tab.inv_lap
-        for i in range(3):
-            div[i] += d[i] * s
+        _leray(div, d, tab.box_inv_lap)
         out[tab.box] = -div
         return out
 
@@ -122,8 +118,8 @@ def _advection_rhs(v: SpectralField,
                    z: SpectralField | None) -> SpectralField:
     """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule: one call of the
     solver's fused kernel ``_Advection``, whose mask is the one
-    ``fields.dealias`` reads (``fields.dealias_tables``).  The result is zero
-    outside the 2/3 box and at the mean, whatever v and z hold outside it."""
+    ``fields.dealias`` reads (``fields.spectral_tables``).  The result is
+    zero outside the 2/3 box and at the mean, whatever v and z hold there."""
     out = np.zeros_like(v.coeffs)
     _Advection(v.grid)(v, z, out)
     return SpectralField(v.grid, "vector3", out, mean_zero=True)
@@ -303,8 +299,8 @@ class SpectralInterpolant:
         dst = np.r_[0:h, self.nf - h + 1:self.nf]
         big[np.ix_(range(ncomp), dst, dst, range(h))] = \
             c[np.ix_(range(ncomp), src, src, range(h))]
-        self.spline = _fft.irfftn(big * self.nf**3, s=(self.nf,) * 3,
-                                  axes=(1, 2, 3))
+        self.spline = _fft.irfftn(big, s=(self.nf,) * 3, axes=(1, 2, 3),
+                                  norm="forward")
         for axis in (1, 2, 3):
             ndimage.spline_filter1d(self.spline, order - 1, axis,
                                     output=self.spline, mode="grid-wrap")
@@ -383,8 +379,9 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     previous map with a one-step backward characteristic solved by RK4;
     velocities and the previous displacement are evaluated off the grid by
     ``SpectralInterpolant`` with ``cfg.pad_factor`` and
-    ``cfg.interp_points``.  Velocity interpolants are cached by time (at
-    most 8).  Substeps are chosen so each RK4 step sees
+    ``cfg.interp_points``.  Each substep's last stage time is the next
+    substep's first, so that velocity interpolant is built once for both.
+    Substeps are chosen so each RK4 step sees
     dt*||grad u|| <= 0.1 (keeps the volume defect of the non-conservative
     integrator near rounding over admissible spans).
     """
@@ -392,7 +389,6 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     times = np.asarray(times, dtype=float)
     fm = FlowMap(grid, times[0])
     mesh = grid.mesh()
-    cache = {}
     if n_substeps is None:
         from .fields import gradient_tensor
         gmax = float(np.abs(gradient_tensor(u_eval(times[0]))).max())
@@ -400,25 +396,22 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
         n_substeps = max(1, int(np.ceil(span * max(gmax, 1e-12) / 0.1)))
 
     def interp_at(t):
-        key = round(t, 12)
-        if key not in cache:
-            cache[key] = SpectralInterpolant(u_eval(t), cfg.pad_factor,
-                                             cfg.interp_points)
-            if len(cache) > 8:
-                cache.pop(next(iter(cache)))
-        return cache[key]
+        return SpectralInterpolant(u_eval(t), cfg.pad_factor,
+                                   cfg.interp_points)
 
     for a, b in zip(times[:-1], times[1:]):
         # backward characteristics from t=b to t=a for every grid node
         pts = mesh.copy()
         dt = (b - a) / n_substeps
         t = b
+        end = interp_at(t)
         for _ in range(n_substeps):
-            k1 = -interp_at(t)(pts)
+            k1 = -end(pts)
             mid = interp_at(t - dt / 2)
             k2 = -mid((pts + (dt / 2) * k1) % 1.0)
             k3 = -mid((pts + (dt / 2) * k2) % 1.0)
-            k4 = -interp_at(t - dt)((pts + dt * k3) % 1.0)
+            end = interp_at(t - dt)
+            k4 = -end((pts + dt * k3) % 1.0)
             pts = (pts + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
             t -= dt
         new_disp = _wrap(pts - mesh)

@@ -4,8 +4,18 @@ Normalization: a field with coefficient array ``c`` represents
 ``f(x) = sum_k c_k exp(2*pi*i k.x)`` so that ``c_0`` is the spatial mean and
 Parseval reads ``integral |f|^2 dx = sum_k |c_k|^2`` (sum over the full
 integer lattice; storage is the rfftn half-spectrum, the other half is the
-complex conjugate).  Forward/inverse grid transforms are exactly unitary
-under this convention.
+complex conjugate).  Every grid transform uses ``norm="forward"``, so grid
+samples and coefficients need no rescaling.
+
+The spectral calculus takes its Fourier multipliers from one per-n table,
+``spectral_tables(n)``.  Its one rule for the Nyquist planes: d/dx_j is 0 on
+the plane k_j = n/2, where the modes n/2 and -n/2 alias and the derivative of
+a real grid field has no real coefficient (Trefethen, Spectral Methods in
+MATLAB, 2000, ch. 3).  Everything built from derivatives follows it: the
+Laplacian is -4 pi^2 |k'|^2, with k' the wavevector whose Nyquist components
+are zeroed, and its inverse is 0 where k' = 0, at the mean and at the 7
+corner modes whose every component is Nyquist.  So Leray projection and
+inverse divergence are exact on the whole stored spectrum.
 """
 
 import struct
@@ -27,8 +37,6 @@ SYM_SLOT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
             (1, 1): 3, (1, 2): 4, (2, 1): 4, (2, 2): 5}
 # multiplicity of each stored component inside the full tensor
 SYM_WEIGHT = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
-
-_TWO_PI_I = 2.0j * np.pi
 
 
 class SpectralField:
@@ -220,20 +228,62 @@ def to_grid(f: SpectralField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differential operators (exact Fourier multipliers 2*pi*i*k)
+# Fourier multipliers and differential operators
 # ---------------------------------------------------------------------------
 
+class SpectralTables(NamedTuple):
+    """Read-only Fourier multipliers of one grid, under the module's Nyquist
+    rule, built from integer wavenumbers.
+
+    ``deriv[j]`` is d/dx_j = 2 pi i k_j, 0 on the plane k_j = n/2, kept as
+    the line along axis j that broadcasts over a (..., n, n, n//2+1)
+    coefficient array.  ``inv_lap`` is 1/(4 pi^2 |k'|^2), 0 where k' = 0.
+
+    The 2/3 rule (Orszag, J. Atmos. Sci. 1971) keeps the box of modes with
+    every |k_i| <= kmax = n // 3: ``mask`` is the box in rfftn layout,
+    ``box`` indexes it in a (ncomp, n, n, n//2+1) array as ``c[box]``, and
+    ``box_deriv`` and ``box_inv_lap`` are ``deriv`` and ``inv_lap`` there.
+    """
+
+    deriv: tuple
+    inv_lap: np.ndarray
+    kmax: int
+    mask: np.ndarray
+    box: tuple
+    box_deriv: tuple
+    box_inv_lap: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def spectral_tables(n: int) -> SpectralTables:
+    """The multiplier tables of the n-point grid, built once per n."""
+    g = GridSpec(n)
+    k = g.wavenumbers()
+    kp = [np.where(np.abs(kj) == g.nyquist, 0, kj) for kj in k]   # k'
+    deriv = []
+    for kj in kp:
+        line = np.zeros(kj.shape, dtype=complex)
+        line.imag = 2.0 * np.pi * kj
+        deriv.append(line)
+    ksq = kp[0] * kp[0] + kp[1] * kp[1] + kp[2] * kp[2]
+    inv_lap = np.zeros(ksq.shape)
+    inv_lap[ksq > 0] = 1.0 / (4.0 * np.pi**2 * ksq[ksq > 0])
+    kmax = n // 3  # floor(2/3 * n/2)
+    mask = ((np.abs(k[0]) <= kmax) & (np.abs(k[1]) <= kmax)
+            & (np.abs(k[2]) <= kmax))
+    lo_hi = np.r_[0:kmax + 1, n - kmax:n]
+    box = (lo_hi[:, None], lo_hi[None, :], slice(0, kmax + 1))
+    box_deriv = (deriv[0][lo_hi], deriv[1][:, lo_hi], deriv[2][..., :kmax + 1])
+    box_inv_lap = inv_lap[box]
+    for table in (lo_hi, *deriv, inv_lap, mask, *box_deriv, box_inv_lap):
+        table.flags.writeable = False
+    return SpectralTables(tuple(deriv), inv_lap, kmax, mask,
+                          (slice(None),) + box, box_deriv, box_inv_lap)
+
+
 def _dcomp(grid: GridSpec, comp: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients of d/dx_axis, zero on the Nyquist planes |k_i| = n/2:
-    there the derivative of a real grid field has no real coefficient (the
-    modes n/2 and -n/2 alias)."""
-    k = grid.wavenumbers()[axis]
-    out = _TWO_PI_I * k * comp
-    h = grid.nyquist
-    out[..., h, :, :] = 0.0
-    out[..., h, :] = 0.0
-    out[..., h] = 0.0
-    return out
+    """Coefficients of d/dx_axis."""
+    return spectral_tables(grid.n).deriv[axis] * comp
 
 
 def differential(f: SpectralField, op: str) -> SpectralField:
@@ -275,38 +325,39 @@ def gradient_tensor(v: SpectralField) -> np.ndarray:
     rows = []
     for i in range(3):
         c = np.stack([_dcomp(g, v.coeffs[i], j) for j in range(3)])
-        rows.append(_fft.irfftn(c * g.n**3, s=(g.n,) * 3, axes=(1, 2, 3)))
+        rows.append(_fft.irfftn(c, s=(g.n,) * 3, axes=(1, 2, 3),
+                                norm="forward"))
     return np.stack(rows)
 
 
 def laplacian_inverse(f: SpectralField) -> SpectralField:
-    """(-Lap)^{-1} acting on the mean-free part; the mean is dropped."""
-    g = f.grid
-    ksq = g.k_squared().astype(float)
-    mult = np.zeros_like(ksq)
-    nz = ksq > 0
-    mult[nz] = 1.0 / (4.0 * np.pi**2 * ksq[nz])
-    return SpectralField(g, f.rank, f.coeffs * mult, mean_zero=True)
+    """(-Lap)^{-1}; 0 at the mean and the all-Nyquist corners."""
+    return SpectralField(f.grid, f.rank,
+                         f.coeffs * spectral_tables(f.grid.n).inv_lap,
+                         mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
 # projections and inverse operators
 # ---------------------------------------------------------------------------
 
+def _leray(c: np.ndarray, deriv, inv_lap: np.ndarray) -> None:
+    """c + d (d.c) inv_lap, in place: the Leray projection of the 3 vector
+    components ``c`` under the multipliers ``deriv`` (d) and ``inv_lap``."""
+    s = (deriv[0] * c[0] + deriv[1] * c[1] + deriv[2] * c[2]) * inv_lap
+    for i in range(3):
+        c[i] += deriv[i] * s
+
+
 def leray_project(v: SpectralField) -> SpectralField:
-    """Project onto divergence-free fields: mode action Id - khat khat^T,
-    the mean component passes through unchanged."""
+    """Project onto divergence-free fields: mode action Id - k' k'^T/|k'|^2;
+    the mean and the all-Nyquist corners pass through unchanged."""
     if v.rank != "vector3":
         raise ValueError("leray_project expects a vector3 field")
-    g = v.grid
-    kx, ky, kz = g.wavenumbers()
-    ksq = g.k_squared().astype(float)
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    kdotv = (kx * v.coeffs[0] + ky * v.coeffs[1] + kz * v.coeffs[2]) / ksq_safe
-    c = np.stack([v.coeffs[0] - kx * kdotv,
-                  v.coeffs[1] - ky * kdotv,
-                  v.coeffs[2] - kz * kdotv])
-    return SpectralField(g, "vector3", c, v.mean_zero)
+    tab = spectral_tables(v.grid.n)
+    c = v.coeffs.copy()
+    _leray(c, tab.deriv, tab.inv_lap)
+    return SpectralField(v.grid, "vector3", c, v.mean_zero)
 
 
 def divergence_defect(v: SpectralField) -> float:
@@ -339,31 +390,22 @@ def biot_savart(v: SpectralField, tol: float = 1e-10) -> SpectralField:
 def inverse_divergence(v: SpectralField) -> SpectralField:
     """Right inverse of div producing symmetric trace-free tensors.
 
-    Acts on the mean-free part of v (the mean is removed first), so
-    div(inverse_divergence(v)) = v - mean(v).
+    Lap^{-1} drops the mean and the all-Nyquist corners, so
+    div(inverse_divergence(v)) is v without them.
     """
     if v.rank != "vector3":
         raise ValueError("inverse_divergence expects a vector3 field")
-    g = v.grid
-    ksq = g.k_squared().astype(float)
-    lap_inv = -1.0 / (4.0 * np.pi**2 * np.where(ksq == 0, 1.0, ksq))
-
-    def dinv(j, c):
-        """d_j Lap^{-1} c, zero on the Nyquist planes like every derivative."""
-        return _dcomp(g, lap_inv * c, j)
-
-    w = [c.copy() for c in v.coeffs]
-    for c in w:
-        c[0, 0, 0] = 0.0
-    s = sum(dinv(j, w[j]) for j in range(3))  # div Lap^{-1} v
-    out = np.empty((6,) + w[0].shape, dtype=complex)
+    tab = spectral_tables(v.grid.n)
+    d, lap_inv = tab.deriv, -tab.inv_lap
+    w = [lap_inv * c for c in v.coeffs]        # Lap^{-1} v
+    s = sum(d[j] * w[j] for j in range(3))     # div Lap^{-1} v
+    out = np.empty((6,) + s.shape, dtype=complex)
     for slot, (i, j) in enumerate(SYM_INDEX):
-        t = dinv(i, w[j]) + dinv(j, w[i])
+        t = d[i] * w[j] + d[j] * w[i]
         if i == j:
             t = t - 0.5 * s
-        t = t - 0.5 * dinv(i, _dcomp(g, s, j))
-        out[slot] = t
-    return SpectralField(g, "symtensor3x3", out, mean_zero=True)
+        out[slot] = t - 0.5 * (d[i] * (lap_inv * (d[j] * s)))
+    return SpectralField(v.grid, "symtensor3x3", out, mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +455,7 @@ def mollifier_multiplier(grid: GridSpec, ell: float) -> np.ndarray:
           + d[None, None, :] ** 2) / ell**2
     kern = bump(r2)
     kern *= n**3 / kern.sum()
-    return _fft.rfftn(kern).real / n**3
+    return _fft.rfftn(kern, norm="forward").real
 
 
 def mollify_space(f: SpectralField, ell: float) -> SpectralField:
@@ -422,52 +464,11 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
     return SpectralField(f.grid, f.rank, f.coeffs * mult, f.mean_zero)
 
 
-class DealiasTables(NamedTuple):
-    """Read-only tables of the 2/3 rule on one grid (Orszag, J. Atmos. Sci.
-    1971): the box of modes with every |k_i| <= kmax = n // 3, and the
-    multipliers the advection kernel applies there.
-
-    ``box`` indexes the box in a (ncomp, n, n, n//2+1) coefficient array as
-    ``c[box]``; ``deriv[j]`` is d/dx_j on the box (from ``_dcomp``),
-    kept as the line along axis j that broadcasts over the box, and
-    ``inv_lap`` is 1/(4 pi^2 |k|^2) there, 0 at the mean.
-    """
-
-    kmax: int
-    mask: np.ndarray
-    box: tuple
-    deriv: tuple
-    inv_lap: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def dealias_tables(n: int) -> DealiasTables:
-    """The 2/3-rule tables of the n-point grid, built once per n."""
-    g = GridSpec(n)
-    kmax = n // 3  # floor(2/3 * n/2)
-    kx, ky, kz = g.wavenumbers()
-    mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & (np.abs(kz) <= kmax)
-    lo_hi = np.r_[0:kmax + 1, n - kmax:n]
-    lo_hi.flags.writeable = False
-    box = (lo_hi[:, None], lo_hi[None, :], slice(0, kmax + 1))
-    deriv = []
-    for j in range(3):
-        # on the box d/dx_j depends on k_j alone: keep its line along axis j
-        line = tuple(slice(None) if a == j else slice(0, 1) for a in range(3))
-        deriv.append(_dcomp(g, mask.astype(float), j)[box][line].copy())
-    ksq = g.k_squared()[box].astype(float)
-    inv_lap = np.zeros_like(ksq)
-    inv_lap[ksq > 0] = 1.0 / (4.0 * np.pi**2 * ksq[ksq > 0])
-    for table in (mask, *deriv, inv_lap):
-        table.flags.writeable = False
-    return DealiasTables(kmax, mask, (slice(None),) + box, tuple(deriv),
-                         inv_lap)
-
-
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with any |k_i| beyond the 2/3 (per-axis) cutoff."""
-    mask = dealias_tables(f.grid.n).mask
-    return SpectralField(f.grid, f.rank, f.coeffs * mask, f.mean_zero)
+    return SpectralField(f.grid, f.rank,
+                         f.coeffs * spectral_tables(f.grid.n).mask,
+                         f.mean_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ def _derivative_levels(f: SpectralField, up_to: int):
     """Grid samples of all derivatives D^alpha f grouped by |alpha|, with the
     multipliers of ``fields.differential``."""
     g = f.grid
-    n = g.n
     out = {}
     for level in range(up_to + 1):
         out[level] = []
@@ -56,8 +55,8 @@ def _derivative_levels(f: SpectralField, up_to: int):
             c = f.coeffs
             for ax in alpha:
                 c = _dcomp(g, c, ax)
-            out[level].append(_fft.irfftn(c * n**3, s=(n, n, n),
-                                          axes=(1, 2, 3)))
+            out[level].append(_fft.irfftn(c, s=(g.n,) * 3, axes=(1, 2, 3),
+                                          norm="forward"))
     return out
 
 

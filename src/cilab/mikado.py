@@ -172,16 +172,15 @@ def decomposition_coefficients(R, family: DirectionFamily) -> np.ndarray:
     return np.einsum("ab,b...->a...", family.gram_inv, v)
 
 
-def gamma_coefficients(R, family: DirectionFamily, check_ball: bool = True):
+def gamma_coefficients(R, family: DirectionFamily):
     """gamma_xi(R) = sqrt(c_xi(R)) for R in the ball |R - Id|_F <= 1/2."""
     R = np.asarray(R, dtype=float)
-    if check_ball:
-        dev = R - np.eye(3).reshape((3, 3) + (1,) * (R.ndim - 2))
-        frob = np.sqrt(np.sum(dev**2, axis=(0, 1)))
-        worst = float(np.max(frob))
-        if worst > 0.5 + 1e-12:
-            raise ValueError(f"R outside the admissible ball: "
-                             f"|R - Id|_F = {worst:.4f} > 1/2")
+    dev = R - np.eye(3).reshape((3, 3) + (1,) * (R.ndim - 2))
+    frob = np.sqrt(np.sum(dev**2, axis=(0, 1)))
+    worst = float(np.max(frob))
+    if worst > 0.5 + 1e-12:
+        raise ValueError(f"R outside the admissible ball: "
+                         f"|R - Id|_F = {worst:.4f} > 1/2")
     c = decomposition_coefficients(R, family)
     cmin = float(np.min(c))
     if cmin <= 0.0:
@@ -266,22 +265,15 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
     return np.array(ks, dtype=np.int64), np.array(ms, dtype=np.int64)
 
 
-def build_mikado(xi, lam: int, family: DirectionFamily, grid: GridSpec,
+def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
                  sigma: float | None = None) -> MikadoFlow:
-    """Build the pipe flow for one direction at frequency ``lam``.
+    """Build the pipe flow of the family's direction ``row`` at frequency
+    ``lam``.
 
-    ``xi`` is a family row index or a direction vector.  The cross-section
-    profile is a periodized Gaussian of width ``sigma`` (profile-cell units);
-    by default sigma adapts to the number of resolvable harmonics so the
-    spectral truncation tail stays near rounding.
+    The cross-section profile is a periodized Gaussian of width ``sigma``
+    (profile-cell units); by default sigma adapts to the number of
+    resolvable harmonics so the spectral truncation tail stays near rounding.
     """
-    if isinstance(xi, (int, np.integer)):
-        row = int(xi)
-    else:
-        d = np.asarray(xi, dtype=float)
-        dirs = family.directions()
-        row = int(np.argmin([min(np.sum((d - x)**2), np.sum((d + x)**2))
-                             for x in dirs]))
     if lam < 1 or int(lam) != lam:
         raise ValueError("lambda must be a positive integer")
     lam = int(lam)

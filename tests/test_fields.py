@@ -43,6 +43,12 @@ def random_band_limited(grid, rank, kmax, seed, mean_zero=False, div_free=False)
     return f
 
 
+def _white_vector(n, seed):
+    """Vector field of unit white grid samples: not band-limited."""
+    raw = np.random.default_rng(seed).standard_normal((3, n, n, n))
+    return from_grid(raw, GridSpec(n), "vector3")
+
+
 class TestTransforms:
     def test_zero_field_round_trip(self):
         f = zeros(GRID, "scalar")
@@ -102,6 +108,17 @@ class TestDifferential:
         assert np.max(np.abs(c[2] - expected)) < 1e-12 * 2 * np.pi
         assert np.max(np.abs(c[:2])) < 1e-12
 
+    def test_grad_along_a_nyquist_plane(self):
+        # d/dx_j is 0 on the plane k_j = n/2 only: f alternates in x, so
+        # df/dx is 0 on the grid while df/dy is exact
+        x, y = GRID.mesh()[:2]
+        alt = np.cos(np.pi * GRID.n * x)
+        f = from_grid(alt * np.sin(2 * np.pi * y), GRID, "scalar")
+        g = to_grid(differential(f, "grad"))
+        expected = 2 * np.pi * alt * np.cos(2 * np.pi * y)
+        assert np.max(np.abs(g[1] - expected)) < 1e-12 * 2 * np.pi
+        assert np.max(np.abs(g[[0, 2]])) < 1e-12
+
     def test_curl_grad_is_zero(self):
         f = random_band_limited(GRID, "scalar", 8, seed=4)
         cg = differential(differential(f, "grad"), "curl")
@@ -136,6 +153,14 @@ class TestLeray:
         v.coeffs[:, 0, 0, 0] = [1.0, 2.0, 3.0]
         pv = leray_project(v)
         assert np.allclose(pv.coeffs[:, 0, 0, 0], [1.0, 2.0, 3.0])
+
+    def test_exact_on_nyquist_planes(self):
+        # white samples have modes on the Nyquist planes
+        v = _white_vector(16, seed=22)
+        pv = leray_project(v)
+        assert pv.hermitian_defect() <= 1e-15
+        assert np.max(np.abs(leray_project(pv).coeffs - pv.coeffs)) < 1e-15
+        assert divergence_defect(pv) < 1e-13
 
 
 class TestBiotSavart:
@@ -211,6 +236,16 @@ class TestInverseDivergence:
         w = v.copy()
         w.coeffs[:, 0, 0, 0] = 0.0
         assert c0_norm(differential(r, "div") - w) < 1e-10 * c0_norm(w)
+
+    def test_right_inverse_on_nyquist_planes(self):
+        # div R(w) is w without its mean and its 7 all-Nyquist corners,
+        # where every derivative vanishes
+        v = _white_vector(16, seed=23)
+        target = v.coeffs.copy()
+        for corner in np.ndindex(2, 2, 2):
+            target[(slice(None),) + tuple(8 * np.array(corner))] = 0.0
+        div = differential(inverse_divergence(v), "div")
+        assert np.max(np.abs(div.coeffs - target)) < 1e-14
 
 
 class TestBandProject:
