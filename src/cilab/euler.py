@@ -11,6 +11,16 @@ forward transform, and -P div on the 2/3 box.  Its mask and multipliers are
 the box entries of the per-n ``fields.spectral_tables``, from which every
 operator of ``fields`` reads its multipliers too.  One kernel and its work
 arrays serve every right-hand side of a solve.
+
+The two per-step diagnostics only decide an integer and a yes/no, so they
+are first settled from l1 bounds of the stored spectrum (``_sup_bounds``),
+which take no transform.  An output interval gets one RK4 step when
+span (n U + G) <= ``_CFL_FACTOR`` for the bounds U >= max|u| and
+G >= max|grad u| of u = v + Z; the exact rule ``_cfl_dt`` would give one
+step too.  A state passes the blow-up guard when its bound U is within
+``cfg.blowup_guard``.  Only when a bound cannot settle the answer (a large
+bound, or nan or inf) do the grid transforms run, and then they decide as
+before, so the step counts and the outputs are those of the exact rules.
 """
 
 from dataclasses import dataclass
@@ -25,7 +35,14 @@ from .fields import (
 from .grids import GridSpec
 from .holder import holder_norm
 
-_CFL_FACTOR = 0.25   # bound on dt * (n |u|_0 + |grad u|_0) per RK4 step
+# bound on dt * (n |u|_0 + |grad u|_0) per RK4 step.  The count of an
+# interval is certified as 1 when span * (n U + G) is within it for the l1
+# bounds U, G of ``_sup_bounds``; float division and ceil are monotone, so
+# ``_cfl_dt``'s rule gives 1 too.  Otherwise ``_cfl_dt`` transforms u.
+_CFL_FACTOR = 0.25
+# relative slack of the l1 bounds over the rounding of the transforms and
+# of the exact rule's division
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass
@@ -125,10 +142,30 @@ def _advection_rhs(v: SpectralField,
     return SpectralField(v.grid, "vector3", out, mean_zero=True)
 
 
-def _cfl_dt(v: SpectralField, z: SpectralField | None) -> float:
-    """CFL step from n max|u| + max|grad u|, with the gradient transformed
-    one row d_j u_i (j = 1..3) at a time; nan for a non-finite state."""
-    u = v if z is None else v + z
+def _sup_bounds(u: SpectralField) -> tuple[float, float]:
+    """Upper bounds of max_x |u_i| and max_x |d_j u_i| over i and j, from one
+    pass over |c|: sum_k w_k |c_ik| and sum_k w_k |2 pi k'_j| |c_ik|, where
+    w_k is 1 on the rfft columns k_z = 0 and n/2 and 2 elsewhere, and k'_j
+    is read from ``spectral_tables`` (0 on the plane k_j = n/2, as in
+    ``_dcomp``).  They hold for any stored array, whatever its k_z = 0
+    plane, Nyquist planes or modes outside the 2/3 box, and carry
+    ``_BOUND_SLACK`` over the grid maxima the transforms compute.  A
+    non-finite spectrum gives nan or inf."""
+    n = u.grid.n
+    a = np.abs(u.coeffs)
+    a[..., 1:n // 2] *= 2.0
+    d = [np.abs(line.imag).ravel() for line in spectral_tables(n).deriv]
+    rows = a.sum(axis=3)   # (ncomp, k_x, k_y)
+    grad = np.max([rows.sum(axis=2) @ d[0], rows.sum(axis=1) @ d[1],
+                   a.sum(axis=(1, 2)) @ d[2]])
+    return (float(rows.sum(axis=(1, 2)).max()) * _BOUND_SLACK,
+            float(grad) * _BOUND_SLACK)
+
+
+def _cfl_dt(u: SpectralField) -> float:
+    """CFL step from n max|u| + max|grad u| on the grid, with the gradient
+    transformed one row d_j u_i (j = 1..3) at a time; nan for a non-finite
+    state."""
     umax = c0_norm(u)
     gmax = 0.0
     if umax > 0:
@@ -208,9 +245,10 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     sample has its own coefficient array.  Returns (fields,
     diagnostics) where diagnostics records the CFL step count, an embedded
     step-doubling truncation estimate, and the kinetic energy of v+Z at
-    each output time.  A state or drift that is not finite, or a state
-    beyond ``cfg.blowup_guard``, raises ``RuntimeError`` naming the step and
-    the time.
+    each output time, and ``cfl_exact``, the number of output intervals
+    whose step count needed the grid transforms of ``_cfl_dt``.  A state or
+    drift that is not finite, or a state beyond ``cfg.blowup_guard``, raises
+    ``RuntimeError`` naming the step and the time.
     """
     cfg = cfg or SolverConfig()
     out_times = np.asarray(out_times, dtype=float)
@@ -224,14 +262,22 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     n_steps = 0
     trunc = 0.0
     energies = [_kinetic(v0, z_eval, t0)]
+    cfl_exact = 0
     first = True
     for a, b in zip(out_times[:-1], out_times[1:]):
         span = b - a
-        dt_max = _cfl_dt(v, z_eval(a) if z_eval else None)
-        if np.isnan(dt_max):
-            raise RuntimeError(f"non-finite state or drift at step {n_steps} "
-                               f"(t={a:.4f})")
-        n_sub = max(1, int(np.ceil(span / dt_max)))
+        u = v if z_eval is None else v + z_eval(a)
+        u_bound, g_bound = _sup_bounds(u)
+        if span * (u.grid.n * u_bound + g_bound) <= _CFL_FACTOR:
+            n_sub = 1
+        else:
+            cfl_exact += 1
+            dt_max = _cfl_dt(u)
+            if np.isnan(dt_max):
+                raise RuntimeError("non-finite state or drift at step "
+                                   f"{n_steps} (t={a:.4f})")
+            n_sub = max(1, int(np.ceil(span / dt_max)))
+        del u   # not kept alive through the steps
         dt = span / n_sub
         t = a
         for _ in range(n_sub):
@@ -249,7 +295,9 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                 v = rk4.step(v, t, dt)
             t += dt
             n_steps += 1
-            size = c0_norm(v)
+            size = _sup_bounds(v)[0]
+            if not size <= cfg.blowup_guard:   # the bound cannot settle it
+                size = c0_norm(v)
             if not size <= cfg.blowup_guard:   # also catches nan
                 what = ("field magnitude blow-up" if np.isfinite(size)
                         else "non-finite state or drift")
@@ -257,7 +305,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
         fields.append(v)
         energies.append(_kinetic(v, z_eval, b))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),
-            "energy": np.array(energies)}
+            "energy": np.array(energies), "cfl_exact": cfl_exact}
     return fields, diag
 
 
@@ -380,7 +428,9 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     velocities and the previous displacement are evaluated off the grid by
     ``SpectralInterpolant`` with ``cfg.pad_factor`` and
     ``cfg.interp_points``.  Each substep's last stage time is the next
-    substep's first, so that velocity interpolant is built once for both.
+    substep's first, so that velocity interpolant is built once for both;
+    a velocity whose coefficients equal those of the last build (compared
+    by value against a kept copy) reuses that build.
     Substeps are chosen so each RK4 step sees
     dt*||grad u|| <= 0.1 (keeps the volume defect of the non-conservative
     integrator near rounding over admissible spans).
@@ -395,9 +445,15 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
         span = float(np.max(np.diff(times))) if len(times) > 1 else 0.0
         n_substeps = max(1, int(np.ceil(span * max(gmax, 1e-12) / 0.1)))
 
+    last = None   # (coefficients, interpolant) of the last velocity build
+
     def interp_at(t):
-        return SpectralInterpolant(u_eval(t), cfg.pad_factor,
-                                   cfg.interp_points)
+        nonlocal last
+        u = u_eval(t)
+        if last is None or not np.array_equal(u.coeffs, last[0]):
+            last = (u.coeffs.copy(), SpectralInterpolant(
+                u, cfg.pad_factor, cfg.interp_points))
+        return last[1]
 
     for a, b in zip(times[:-1], times[1:]):
         # backward characteristics from t=b to t=a for every grid node

@@ -9,6 +9,8 @@ from cilab.euler import (
     time_derivative,
 )
 from cilab.euler import _advection_rhs
+from cilab import euler
+from cilab.fields import SpectralField, gradient_tensor
 
 GRID = GridSpec(32)
 
@@ -307,3 +309,151 @@ class TestWorkArrays:
         for i, x in enumerate(out):
             for y in out[i + 1:]:
                 assert not np.shares_memory(x, y)
+
+
+def _arbitrary(grid, seed):
+    """A stored array no real field has: complex entries in every slot, so
+    the k_z = 0 and k_z = n/2 planes are not Hermitian and every Nyquist
+    plane is filled."""
+    rng = np.random.default_rng(seed)
+    shape = (3, grid.n, grid.n, grid.n // 2 + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(grid, "vector3", c)
+
+
+def _grid_maxima(f):
+    return c0_norm(f), float(np.abs(gradient_tensor(f)).max())
+
+
+class TestSupBounds:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("kind", ["white", "arbitrary"])
+    def test_bounds_dominate_grid_maxima(self, n, kind):
+        g = GridSpec(n)
+        f = _white(g, 40 + n) if kind == "white" else _arbitrary(g, 50 + n)
+        if kind == "white":
+            assert np.any(f.coeffs[:, n // 2] != 0)   # Nyquist planes filled
+            assert np.any(f.coeffs[..., n // 2] != 0)
+        else:
+            assert f.hermitian_defect() > 0.1
+        u_bound, g_bound = euler._sup_bounds(f)
+        u_max, g_max = _grid_maxima(f)
+        assert u_max <= u_bound and g_max <= g_bound
+
+    @pytest.mark.parametrize("k", [(1, -2, 3), (1, 2, 0), (3, 0, 8)])
+    def test_tight_for_one_cosine(self, k):
+        # (3, 0, 8) sits on the k_z = n/2 column, where the derivative is 0
+        g = GridSpec(16)
+        x = g.mesh()
+        phase = 2 * np.pi * sum(kj * xj for kj, xj in zip(k, x))
+        f = from_grid(np.stack([np.cos(phase), 0 * phase, 0 * phase]), g,
+                      "vector3")
+        u_bound, g_bound = euler._sup_bounds(f)
+        u_max, g_max = _grid_maxima(f)
+        assert u_bound == pytest.approx(1.0, rel=1e-8)
+        assert u_bound == pytest.approx(u_max, rel=1e-8)
+        k_prime = [0 if abs(kj) == 8 else abs(kj) for kj in k]
+        assert g_bound == pytest.approx(2 * np.pi * max(k_prime), rel=1e-8)
+        assert g_bound == pytest.approx(g_max, rel=1e-8)
+
+    def test_non_finite(self):
+        f = _white(GridSpec(8), seed=60)
+        f.coeffs[2, 1, 1, 1] = np.nan
+        assert all(np.isnan(b) for b in euler._sup_bounds(f))
+
+
+class TestCertifiedDiagnostics:
+    G = GridSpec(16)
+
+    def _drifted(self):
+        z = smooth_div_free(self.G, 2, seed=61, amp=0.3)
+        v0 = smooth_div_free(self.G, 4, seed=62, amp=1.0)
+        return v0, (lambda t: (1 + t) * z)
+
+    def test_forced_exact_path_gives_the_same_solve(self, monkeypatch):
+        v0, z_eval = self._drifted()
+        times = np.linspace(0.0, 0.008, 5)
+        fields, diag = solve_euler_with_drift(v0, z_eval, 0.0, times)
+        assert diag["cfl_exact"] == 0
+        monkeypatch.setattr(euler, "_sup_bounds",
+                            lambda u: (np.inf, np.inf))
+        exact, exact_diag = solve_euler_with_drift(v0, z_eval, 0.0, times)
+        assert exact_diag["cfl_exact"] == len(times) - 1
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(fields, exact))
+        assert diag["steps"] == exact_diag["steps"]
+        assert diag["truncation_per_time"] == exact_diag["truncation_per_time"]
+        assert np.array_equal(diag["energy"], exact_diag["energy"])
+
+    def test_long_span_takes_the_exact_rule_count(self):
+        v0, z_eval = self._drifted()
+        span = 0.2
+        u = v0 + z_eval(0.0)
+        expected = max(1, int(np.ceil(span / euler._cfl_dt(u))))
+        assert expected > 1
+        # the short interval is certified, the long one is not
+        _, diag = solve_euler_with_drift(v0, z_eval, 0.0, [0.0, 1e-3, span])
+        assert diag["cfl_exact"] == 1
+        _, diag = solve_euler_with_drift(v0, z_eval, 0.0, [0.0, span])
+        assert diag["cfl_exact"] == 1
+        assert diag["steps"] == expected
+
+    @pytest.mark.parametrize("factor, steps", [(0.999, 1), (1.001, 2)])
+    def test_threshold_of_a_tight_bound(self, factor, steps):
+        # a steady shear whose bounds equal its grid maxima: the count is
+        # certified just below the CFL threshold and transformed just above
+        x = self.G.mesh()[1]
+        v0 = from_grid(np.stack([np.cos(2 * np.pi * x), 0 * x, 0 * x]),
+                       self.G, "vector3", mean_zero=True)
+        span = factor * 0.25 / (self.G.n + 2 * np.pi)
+        _, diag = solve_euler_with_drift(v0, None, 0.0, [0.0, span])
+        assert (diag["steps"], diag["cfl_exact"]) == (steps, steps - 1)
+
+    def test_guard_beyond_the_bound_but_not_the_grid_max(self):
+        v0 = 0.01 * _white(self.G, seed=63)
+        u_bound, _ = euler._sup_bounds(v0)
+        guard = np.sqrt(c0_norm(v0) * u_bound)   # between the two
+        out, diag = solve_euler_with_drift(
+            v0, None, 0.0, [0.0, 1e-4, 2e-4], SolverConfig(blowup_guard=guard))
+        assert diag["steps"] >= 2
+        assert all(c0_norm(f) <= guard < euler._sup_bounds(f)[0]
+                   for f in out)
+
+
+class TestFlowMapBuilds:
+    G = GridSpec(16)
+
+    def _run(self, monkeypatch, u_eval, times):
+        """The flow map and the number of interpolants it built."""
+        builds = []
+
+        class Counting(SpectralInterpolant):
+            def __init__(self, *args, **kw):
+                builds.append(1)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(euler, "SpectralInterpolant", Counting)
+        fm = solve_flow_map(u_eval, times, self.G, n_substeps=2)
+        return fm, len(builds)
+
+    def test_constant_velocity_is_built_once(self, monkeypatch):
+        u = smooth_div_free(self.G, 3, seed=64, amp=1.0)
+        fm, builds = self._run(monkeypatch, lambda t: u, [0.0, 0.01, 0.02])
+        assert builds == 1 + 1   # one velocity, one composition
+
+    def test_velocity_edited_in_place_is_rebuilt(self, monkeypatch):
+        base = smooth_div_free(self.G, 3, seed=65, amp=1.0)
+        shared = base.copy()
+
+        def in_place(t):
+            shared.coeffs[...] = (1 + 10 * t) * base.coeffs
+            return shared
+
+        times = [0.0, 0.01, 0.02]
+        fm, builds = self._run(monkeypatch, in_place, times)
+        fresh, fresh_builds = self._run(
+            monkeypatch, lambda t: (1 + 10 * t) * base, times)
+        # 5 distinct stage times per interval, one composition
+        assert builds == fresh_builds == 2 * 5 + 1
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(fm.displacements, fresh.displacements))
