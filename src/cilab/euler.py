@@ -5,12 +5,23 @@ The solver integrates  d_t v = -P[div((v+Z) (x) (v+Z))]  pseudo-spectrally
 with an explicit fourth-order scheme; Leray projection absorbs the pressure
 so divergence stays at rounding.  Products are dealiased by the 2/3 rule.
 
-The right-hand side is one fused kernel, ``_Advection``: u = mask (v+Z), one
-3-component inverse transform, the 6 products u_i u_j, one 6-component
-forward transform, and -P div on the 2/3 box.  Its mask and multipliers are
-the box entries of the per-n ``fields.spectral_tables``, from which every
-operator of ``fields`` reads its multipliers too.  One kernel and its work
-arrays serve every right-hand side of a solve.
+The right-hand side is one fused kernel, ``_Advection``, on compact arrays of
+the 2/3 box (Orszag, J. Atmos. Sci. 1971) in the layout of
+``fields.spectral_tables(n).box``: shape (3, 2K+1, 2K+1, K+1) with
+K = n // 3, 30 % of the half-spectrum at n = 64.  The right-hand side is 0
+outside the box, so those modes never change during a solve: the RK4 state,
+stages and increments are box arrays, and each output is v0's coefficients
+with the box overwritten.  The kernel transforms u = v + Z up from the box,
+forms five products, transforms them back to the box and applies -P div
+there.  The products are those of T = u (x) u - u_z^2 Id; the dropped part
+div(u_z^2 Id) = grad(u_z^2) is a gradient, which the Leray projection
+removes, so P div T = P div(u (x) u).  The z-transforms and the products run
+over x-slabs of max(1, 32768 // n^2) planes inside one persistent work
+array, so neither the velocity grid nor the product tensor is ever built
+whole.  The kernel's multipliers are the box entries of the per-n
+``fields.spectral_tables``, from which every operator of ``fields`` reads
+its multipliers too.  One kernel and its work array serve every right-hand
+side of a solve.
 
 The two per-step diagnostics only decide an integer and a yes/no, so they
 are first settled from l1 bounds of the stored spectrum (``_sup_bounds``),
@@ -24,13 +35,14 @@ before, so the step counts and the outputs are those of the exact rules.
 """
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SYM_INDEX, SYM_SLOT, SpectralField, _check_same, _dcomp, _leray, c0_norm,
-    differential, from_grid, leray_project, spectral_tables,
+    SpectralField, _dcomp, _leray, c0_norm, differential, from_grid, inner,
+    leray_project, spectral_tables,
 )
 from .grids import GridSpec
 from .holder import holder_norm
@@ -43,6 +55,15 @@ _CFL_FACTOR = 0.25
 # relative slack of the l1 bounds over the rounding of the transforms and
 # of the exact rule's division
 _BOUND_SLACK = 1.0 + 1e-9
+# grid points per x-slab of the advection kernel's z-transforms: 8 planes
+# at n = 64, the whole grid at n <= 32
+_SLAB_POINTS = 32768
+# the terms (j, slot) of (div T)_i = sum_j d_j T_ij, for the products of
+# T = u (x) u - u_z^2 Id in the slots (u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y,
+# u_x u_z, u_y u_z); T_zz = 0 has no term
+_DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
+              ((0, 2), (1, 1), (2, 4)),
+              ((0, 3), (1, 4)))
 
 
 @dataclass
@@ -70,55 +91,92 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
 
 
 class _Advection:
-    """-P[div((v+z) (x) (v+z))], dealiased, on one grid.
+    """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule, on box arrays.
 
-    Holds the dealiased velocity ``u`` and the product tensor between calls,
-    so repeated calls allocate only the transforms' outputs; a call may take
-    its input v in ``u`` itself.  Both transforms run axis by axis and skip
-    the lines that are zero (inverse) or never reach the 2/3 box (forward).
-    ``out`` is written on the box only: outside it must already be zero.
+    v and the result are compact arrays of the 2/3 box, of shape ``shape``
+    = (3, 2K+1, 2K+1, K+1) with K = ``kmax``, laid out as
+    ``c[spectral_tables(n).box]``: along x and y the box rows are k = 0..K,
+    then -K..-1.  Of the drift z, a full field or None, only the box is read.
+
+    A call runs in one persistent (5, n, n, n//2+1) work array.  Its first 3
+    components take u = v + z: the k_z <= K slab is zeroed and the 4 box
+    blocks written (the columns k_z > K are never written, so they stay 0),
+    then the lines that cross the box are inverse-transformed along x, and
+    the slab along y.  The middle runs over x-slabs of ``slab`` =
+    max(1, 32768 // n^2) planes: the c2r transform along z, the products,
+    and the r2c transform along z, whose k_z <= K columns go back into the
+    same planes of the work array, where the velocity is spent.  So neither
+    the (3, n, n, n) velocity grid nor the product tensor is built whole.
+    Forward transforms along y, then along x on the box rows, bring the
+    products to the box, and -P div is formed on its 4 blocks.
+
+    The five products are those of T = u (x) u - u_z^2 Id:
+    u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y, u_x u_z and u_y u_z.  The dropped
+    part div(u_z^2 Id) = grad(u_z^2) is a gradient, which ``_leray`` removes
+    on the box, so P div T = P div(u (x) u), with 8 multiply-adds for div T
+    instead of 9.
     """
 
     def __init__(self, grid: GridSpec):
         n = grid.n
         self.grid = grid
         self.tables = spectral_tables(n)
-        self.u = np.empty((3, n, n, n // 2 + 1), dtype=complex)
-        self._prod = np.empty((6, n, n, n))
+        K = self.tables.kmax
+        self.shape = (3, 2 * K + 1, 2 * K + 1, K + 1)
+        self.slab = min(n, max(1, _SLAB_POINTS // (n * n)))
+        self.work = np.zeros((5, n, n, n // 2 + 1), dtype=complex)
+        self._prod = np.empty((5, self.slab, n, n))
 
-    def __call__(self, v: SpectralField, z: SpectralField | None,
+    def __call__(self, v: np.ndarray, z: SpectralField | None,
                  out: np.ndarray) -> np.ndarray:
+        """The right-hand side at the box array v under the drift z, written
+        into the box array ``out`` and returned; ``out`` may be v."""
         tab, n = self.tables, self.grid.n
         m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
-        u = self.u
-        if z is None:
-            np.multiply(v.coeffs, tab.mask, out=u)
-        else:
-            _check_same(v, z)
-            np.add(v.coeffs, z.coeffs, out=u)
-            u *= tab.mask
+        if z is not None and (z.grid != self.grid or z.rank != "vector3"):
+            raise ValueError("drift lives on a different grid or rank")
+        # (box rows, grid rows) of the two halves of the box along x or y
+        halves = ((slice(0, m), slice(0, m)), (slice(m, None), slice(hi, n)))
+        work = self.work
+        u = work[:3]
+        u[..., :m] = 0.0
+        for bx, gx in halves:
+            for by, gy in halves:
+                if z is None:
+                    u[:, gx, gy, :m] = v[:, bx, by]
+                else:
+                    np.add(v[:, bx, by], z.coeffs[:, gx, gy, :m],
+                           out=u[:, gx, gy, :m])
         for lines in (u[:, :, :m, :m], u[:, :, hi:, :m]):
             _transform_lines(_fft.ifft, lines, 1)
         _transform_lines(_fft.ifft, u[..., :m], 2)
-        ug = _fft.irfft(u, n, axis=3, norm="forward")
-        prod = self._prod
-        for slot, (i, j) in enumerate(SYM_INDEX):
-            np.multiply(ug[i], ug[j], out=prod[slot])
-        del ug
-        t = _fft.rfft(prod, axis=3, norm="forward")
-        _transform_lines(_fft.fft, t[..., :m], 1)
-        for lines in (t[:, :m, :, :m], t[:, hi:, :, :m]):
-            _transform_lines(_fft.fft, lines, 2)
-        t = t[tab.box]
-        d = tab.box_deriv
-        div = np.empty((3,) + t.shape[1:], dtype=complex)
-        for i in range(3):
-            np.multiply(d[0], t[SYM_SLOT[i, 0]], out=div[i])
-            div[i] += d[1] * t[SYM_SLOT[i, 1]]
-            div[i] += d[2] * t[SYM_SLOT[i, 2]]
-        del t
-        _leray(div, d, tab.box_inv_lap)
-        out[tab.box] = -div
+        for s in range(0, n, self.slab):
+            e = min(s + self.slab, n)
+            ux, uy, uz = _fft.irfft(u[:, s:e], n, axis=3, norm="forward")
+            p = self._prod[:, :e - s]
+            np.multiply(ux, uy, out=p[2])
+            np.multiply(ux, uz, out=p[3])
+            np.multiply(uy, uz, out=p[4])
+            uz *= uz
+            np.multiply(ux, ux, out=p[0])
+            p[0] -= uz
+            np.multiply(uy, uy, out=p[1])
+            p[1] -= uz
+            work[:, s:e, :, :m] = _fft.rfft(p, axis=3, norm="forward")[..., :m]
+        _transform_lines(_fft.fft, work[..., :m], 2)
+        for lines in (work[:, :, :m, :m], work[:, :, hi:, :m]):
+            _transform_lines(_fft.fft, lines, 1)
+        dx, dy, dz = tab.box_deriv
+        for bx, gx in halves:
+            for by, gy in halves:
+                t, o = work[:, gx, gy, :m], out[:, bx, by]
+                d = (dx[bx], dy[:, by], dz)
+                for i, ((j, slot), *rest) in enumerate(_DIV_TERMS):
+                    np.multiply(d[j], t[slot], out=o[i])
+                    for j, slot in rest:
+                        o[i] += d[j] * t[slot]
+        _leray(out, tab.box_deriv, tab.box_inv_lap)
+        np.negative(out, out=out)
         return out
 
 
@@ -133,27 +191,37 @@ def _transform_lines(fft, lines: np.ndarray, axis: int) -> None:
 
 def _advection_rhs(v: SpectralField,
                    z: SpectralField | None) -> SpectralField:
-    """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule: one call of the
-    solver's fused kernel ``_Advection``, whose mask is the one
-    ``fields.dealias`` reads (``fields.spectral_tables``).  The result is
+    """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule, as a full field:
+    a thin wrapper that hands v's box to one call of the solver's kernel
+    ``_Advection`` and puts the box result into zeros.  The box is the one
+    ``fields.dealias`` keeps (``fields.spectral_tables``).  The result is
     zero outside the 2/3 box and at the mean, whatever v and z hold there."""
+    box = spectral_tables(v.grid.n).box
     out = np.zeros_like(v.coeffs)
-    _Advection(v.grid)(v, z, out)
+    c = v.coeffs[box]
+    out[box] = _Advection(v.grid)(c, z, c)
     return SpectralField(v.grid, "vector3", out, mean_zero=True)
+
+
+def _weighted_abs(c: np.ndarray, n: int) -> np.ndarray:
+    """w_k |c_k| for a block of rfft columns that starts at k_z = 0: w_k is
+    1 on the columns k_z = 0 and n/2 and 2 elsewhere, so that the sum over
+    the block bounds the grid maximum of the modes it holds."""
+    a = np.abs(c)
+    a[..., 1:n // 2] *= 2.0
+    return a
 
 
 def _sup_bounds(u: SpectralField) -> tuple[float, float]:
     """Upper bounds of max_x |u_i| and max_x |d_j u_i| over i and j, from one
-    pass over |c|: sum_k w_k |c_ik| and sum_k w_k |2 pi k'_j| |c_ik|, where
-    w_k is 1 on the rfft columns k_z = 0 and n/2 and 2 elsewhere, and k'_j
-    is read from ``spectral_tables`` (0 on the plane k_j = n/2, as in
-    ``_dcomp``).  They hold for any stored array, whatever its k_z = 0
+    pass over |c|: sum_k w_k |c_ik| and sum_k w_k |2 pi k'_j| |c_ik|, with
+    the weights w_k of ``_weighted_abs`` and k'_j read from
+    ``spectral_tables`` (0 on the plane k_j = n/2, as in ``_dcomp``).  They hold for any stored array, whatever its k_z = 0
     plane, Nyquist planes or modes outside the 2/3 box, and carry
     ``_BOUND_SLACK`` over the grid maxima the transforms compute.  A
     non-finite spectrum gives nan or inf."""
     n = u.grid.n
-    a = np.abs(u.coeffs)
-    a[..., 1:n // 2] *= 2.0
+    a = _weighted_abs(u.coeffs, n)
     d = [np.abs(line.imag).ravel() for line in spectral_tables(n).deriv]
     rows = a.sum(axis=3)   # (ncomp, k_x, k_y)
     grad = np.max([rows.sum(axis=2) @ d[0], rows.sum(axis=1) @ d[1],
@@ -185,34 +253,33 @@ def _cfl_dt(u: SpectralField) -> float:
 
 
 class _RK4:
-    """Classical RK4 steps of the drifted system on one grid.
+    """Classical RK4 steps of the drifted system on one grid, on box arrays.
 
-    The current k and the kernel's velocity array, which holds the stages,
-    are reused by every step; each step returns a new coefficient array.
+    The current k and the stage array are reused by every step; each step
+    returns a new box array.
     """
 
     def __init__(self, grid: GridSpec, z_eval):
-        self.grid = grid
         self.z_eval = z_eval
         self.rhs = _Advection(grid)
-        self.k = np.zeros_like(self.rhs.u)   # the kernel writes its box only
+        self.k = np.empty(self.rhs.shape, dtype=complex)
+        self._u = np.empty_like(self.k)
 
     def _z(self, t):
         return self.z_eval(t) if self.z_eval else None
 
-    def _stage(self, v: SpectralField, k: np.ndarray,
-               c: float) -> SpectralField:
-        """v + c k, in the kernel's velocity array."""
-        np.multiply(k, c, out=self.rhs.u)
-        self.rhs.u += v.coeffs
-        return SpectralField(self.grid, "vector3", self.rhs.u, v.mean_zero)
+    def _stage(self, v: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
+        """v + c k, in the stage array."""
+        np.multiply(k, c, out=self._u)
+        self._u += v
+        return self._u
 
-    def first_k(self, v: SpectralField, t: float) -> np.ndarray:
+    def first_k(self, v: np.ndarray, t: float) -> np.ndarray:
         """k1 at (v, t) in its own array, for steps that share it."""
-        return self.rhs(v, self._z(t), np.zeros_like(self.k))
+        return self.rhs(v, self._z(t), np.empty_like(self.k))
 
-    def step(self, v: SpectralField, t: float, dt: float,
-             k1: np.ndarray | None = None) -> SpectralField:
+    def step(self, v: np.ndarray, t: float, dt: float,
+             k1: np.ndarray | None = None) -> np.ndarray:
         """v(t + dt) from v(t); ``k1`` is reused if given."""
         k = self.k
         if k1 is None:
@@ -231,8 +298,8 @@ class _RK4:
         self.rhs(stage, self._z(t + dt), k)                     # k4
         new += k
         new *= dt / 6.0
-        new += v.coeffs
-        return SpectralField(self.grid, "vector3", new, v.mean_zero)
+        new += v
+        return new
 
 
 def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
@@ -256,19 +323,35 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
         raise ValueError("out_times must start at t0")
     if not np.all(np.diff(out_times) > 0):
         raise ValueError("out_times must be strictly increasing")
-    rk4 = _RK4(v0.grid, z_eval)
-    v = v0
+    grid, n = v0.grid, v0.grid.n
+    box = spectral_tables(n).box
+    rk4 = _RK4(grid, z_eval)
+
+    def full(c: np.ndarray) -> np.ndarray:
+        """v0's coefficients with the box array ``c`` in the box."""
+        out = v0.coeffs.copy()
+        out[box] = c
+        return out
+
+    # the right-hand side is 0 outside the box, so the state is the box
+    # array w; the modes outside keep v0's values, and so does their part
+    # of the guard's bound of max|v|
+    rest = _weighted_abs(v0.coeffs, n)
+    rest[box] = 0.0
+    rest = rest.sum(axis=(1, 2, 3))
+    w = v0.coeffs[box]
     fields = [v0]
     n_steps = 0
     trunc = 0.0
-    energies = [_kinetic(v0, z_eval, t0)]
+    u = v0 if z_eval is None else v0 + z_eval(t0)
+    energies = [inner(u, u)]
     cfl_exact = 0
     first = True
     for a, b in zip(out_times[:-1], out_times[1:]):
         span = b - a
-        u = v if z_eval is None else v + z_eval(a)
+        # u = v + z(a) is the field whose energy was taken at a
         u_bound, g_bound = _sup_bounds(u)
-        if span * (u.grid.n * u_bound + g_bound) <= _CFL_FACTOR:
+        if span * (n * u_bound + g_bound) <= _CFL_FACTOR:
             n_sub = 1
         else:
             cfl_exact += 1
@@ -283,36 +366,35 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
         for _ in range(n_sub):
             if first:
                 # the coarse step and the first half step share k1
-                k1 = rk4.first_k(v, t)
-                coarse = rk4.step(v, t, dt, k1)
-                half = rk4.step(v, t, dt / 2, k1)
+                k1 = rk4.first_k(w, t)
+                coarse = rk4.step(w, t, dt, k1)
+                half = rk4.step(w, t, dt / 2, k1)
                 del k1
-                fine = rk4.step(half, t + dt / 2, dt / 2)
-                trunc = c0_norm(coarse - fine) / dt  # per unit time
-                v = fine
+                w = rk4.step(half, t + dt / 2, dt / 2)
+                diff = np.zeros_like(v0.coeffs)
+                diff[box] = coarse - w
+                trunc = c0_norm(SpectralField(grid, "vector3", diff)) / dt
+                del diff, coarse, half   # trunc is per unit time
                 first = False
             else:
-                v = rk4.step(v, t, dt)
+                w = rk4.step(w, t, dt)
             t += dt
             n_steps += 1
-            size = _sup_bounds(v)[0]
+            box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
+            size = float((rest + box_sums).max()) * _BOUND_SLACK
             if not size <= cfg.blowup_guard:   # the bound cannot settle it
-                size = c0_norm(v)
+                size = c0_norm(SpectralField(grid, "vector3", full(w)))
             if not size <= cfg.blowup_guard:   # also catches nan
                 what = ("field magnitude blow-up" if np.isfinite(size)
                         else "non-finite state or drift")
                 raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
+        v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
         fields.append(v)
-        energies.append(_kinetic(v, z_eval, b))
+        u = v if z_eval is None else v + z_eval(b)
+        energies.append(inner(u, u))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),
             "energy": np.array(energies), "cfl_exact": cfl_exact}
     return fields, diag
-
-
-def _kinetic(v: SpectralField, z_eval, t: float) -> float:
-    from .fields import inner
-    u = v if z_eval is None else v + z_eval(t)
-    return inner(u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +405,18 @@ class SpectralInterpolant:
     """Padded-FFT refinement plus a prefiltered periodic B-spline.
 
     Zero padding refines the field to ``pad_factor * n`` points per axis;
-    each component is prefiltered once into coefficients of the periodic
+    each component is prefiltered into coefficients of the periodic
     B-spline of degree ``order - 1`` (``order`` points per axis; Thevenaz,
     Blu and Unser, IEEE TMI 2000), which reproduces the refined samples at
     the fine nodes and band-limited fields to ~(k_max / (pad_factor*n))^order.
+    The prefilter is a Fourier multiplier: along each axis the copied modes
+    are divided by the symbol of the sampled spline, so one inverse
+    transform gives the coefficients.
     """
 
     def __init__(self, f: SpectralField, pad_factor: int = 2, order: int = 6):
         if not 2 <= order <= 6:
             raise ValueError(f"interpolation order {order} not in 2..6")
-        from scipy import ndimage  # only runs that leave the grid load it
         self.order = order
         n = f.grid.n
         self.nf = n * pad_factor
@@ -343,15 +427,15 @@ class SpectralInterpolant:
         h = n // 2
         # copy all modes except the (empty for band-limited fields) Nyquist
         # planes; negative frequencies go to the end of the padded axes
-        src = np.r_[0:h, n - h + 1:n]
-        dst = np.r_[0:h, self.nf - h + 1:self.nf]
-        big[np.ix_(range(ncomp), dst, dst, range(h))] = \
+        k = np.r_[0:h, 1 - h:0]
+        src = k % n
+        dst = k % self.nf
+        inv = 1.0 / _spline_symbol(order - 1, k / self.nf)
+        big[np.ix_(range(ncomp), dst, dst, range(h))] = (
             c[np.ix_(range(ncomp), src, src, range(h))]
+            * (inv[:, None, None] * inv[None, :, None] * inv[None, None, :h]))
         self.spline = _fft.irfftn(big, s=(self.nf,) * 3, axes=(1, 2, 3),
                                   norm="forward")
-        for axis in (1, 2, 3):
-            ndimage.spline_filter1d(self.spline, order - 1, axis,
-                                    output=self.spline, mode="grid-wrap")
 
     def __call__(self, points: np.ndarray, order: int | None = None) -> np.ndarray:
         """Values at points of shape (3, ...), as (ncomp, ...); ``order``, if
@@ -368,6 +452,21 @@ class SpectralInterpolant:
                                     order=self.order - 1, mode="grid-wrap",
                                     prefilter=False)
         return out.reshape((self.spline.shape[0],) + shape)
+
+
+def _spline_symbol(degree: int, freq: np.ndarray) -> np.ndarray:
+    """sum_m b(m) cos(2 pi m freq) for the centred B-spline b of ``degree``
+    sampled at the integers m: the Fourier symbol of interpolation on the
+    grid by that spline, which the prefilter divides by."""
+    half = (degree + 1) / 2
+    out = np.zeros(np.shape(freq))
+    for m in range(int(half) + 1):
+        # b(m) = sum_j (-1)^j C(degree+1, j) (m + half - j)_+^degree / degree!
+        b = sum((-1) ** j * comb(degree + 1, j)
+                * max(m + half - j, 0.0) ** degree
+                for j in range(degree + 2)) / factorial(degree)
+        out += (1.0 if m == 0 else 2.0) * b * np.cos(2.0 * np.pi * m * freq)
+    return out
 
 
 # ---------------------------------------------------------------------------

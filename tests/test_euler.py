@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,29 @@ class TestInterpolant:
             SpectralInterpolant(zeros(GRID, "vector3"), order=order)
 
 
+class TestPrefilter:
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_matches_ndimage_prefilter(self, order):
+        from scipy import ndimage
+        f, refined = _refined_samples()
+        expected = refined
+        for axis in (1, 2, 3):
+            expected = ndimage.spline_filter1d(expected, order - 1, axis,
+                                               mode="grid-wrap")
+        spline = SpectralInterpolant(f, pad_factor=2, order=order).spline
+        assert (np.max(np.abs(spline - expected))
+                < 1e-12 * np.max(np.abs(expected)))
+
+
+@lru_cache(maxsize=1)
+def _refined_samples():
+    """A band-limited n=16 field and its samples on the 32-point grid, by
+    direct mode sums."""
+    f = smooth_div_free(GridSpec(16), 4, seed=68, amp=1.0)
+    mesh = GridSpec(32).mesh()
+    return f, _direct_eval(f, mesh.reshape(3, -1)).reshape(mesh.shape)
+
+
 def _direct_eval(f, pts):
     n = f.grid.n
     kx, ky, kz = f.grid.wavenumbers()
@@ -242,7 +267,9 @@ def _reference_rhs(v, z):
 
 
 class TestAdvectionRHS:
-    @pytest.mark.parametrize("n", [16, 32])
+    # the kernel's z-transforms run over x-slabs of 32768 // n^2 planes: one
+    # slab at n <= 32, 8 at n = 64, and at n = 48 three of 14 and one of 6
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
     @pytest.mark.parametrize("drift", [False, True])
     def test_matches_reference(self, n, drift):
         g = GridSpec(n)
@@ -253,6 +280,74 @@ class TestAdvectionRHS:
         assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
         assert np.all(out[:, ~keep] == 0.0)
         assert np.all(out[:, 0, 0, 0] == 0.0)
+
+
+class TestBoxState:
+    def test_outside_modes_kept_and_box_matches_full_rk4(self):
+        g = GridSpec(16)
+        v0 = _white(g, seed=66, amp=0.05)
+        z = _white(g, seed=67, amp=0.02)
+
+        def z_eval(t):
+            return (1 + 20 * t) * z
+
+        _, keep = _reference_rhs(v0, None)
+        assert np.any(v0.coeffs[:, ~keep] != 0)
+        assert np.any(v0.coeffs[:, 8] != 0) and np.any(v0.coeffs[..., 8] != 0)
+        h = 5e-4
+        fields, diag = solve_euler_with_drift(v0, z_eval, 0.0, np.arange(4) * h)
+        assert diag["steps"] == 3   # one RK4 step per interval
+
+        def rhs(c, t):
+            return _reference_rhs(SpectralField(g, "vector3", c), z_eval(t))[0]
+
+        def rk4(c, t, dt):
+            k1 = rhs(c, t)
+            k2 = rhs(c + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(c + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(c + dt * k3, t + dt)
+            return c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        # the solver takes its first step as two half steps (step doubling)
+        c = rk4(rk4(v0.coeffs, 0.0, h / 2), h / 2, h / 2)
+        for i, f in enumerate(fields[1:], start=1):
+            assert np.array_equal(f.coeffs[:, ~keep], v0.coeffs[:, ~keep])
+            scale = np.max(np.abs(c[:, keep]))
+            assert np.max(np.abs(f.coeffs[:, keep] - c[:, keep])) < 1e-12 * scale
+            # the state has moved by far more than the tolerance
+            assert np.max(np.abs(c[:, keep] - v0.coeffs[:, keep])) > 1e-5 * scale
+            c = rk4(c, i * h, h)
+
+    def test_energy_field_serves_the_next_cfl_bound(self):
+        g = GridSpec(16)
+        z = smooth_div_free(g, 2, seed=70, amp=0.3)
+        v0 = smooth_div_free(g, 4, seed=71, amp=1.0)
+        calls = []
+
+        def z_eval(t):
+            calls.append(t)
+            return (1 + 10 * t) * z
+
+        times = np.linspace(0.0, 0.008, 5)
+        fields, diag = solve_euler_with_drift(v0, z_eval, 0.0, times)
+        assert diag["steps"] == len(times) - 1
+        for f, t, e in zip(fields, times, diag["energy"]):
+            u = f + (1 + 10 * t) * z
+            assert e == inner(u, u)
+        # one call per output time for the energy and the next CFL bound,
+        # 8 for the step-doubled first step, 3 for every later step
+        assert len(calls) == len(times) + 8 + 3 * (len(times) - 2)
+
+    def test_guard_sees_the_modes_outside_the_box(self):
+        # the box part stays 0 (no drift, and the kernel reads only the box),
+        # so all of max|v| comes from the modes the solver never changes
+        g = GridSpec(16)
+        v0 = _white(g, seed=69)
+        _, keep = _reference_rhs(v0, None)
+        v0.coeffs[:, keep] = 0.0
+        cfg = SolverConfig(blowup_guard=0.5 * c0_norm(v0))
+        with pytest.raises(RuntimeError, match="blow-up at step 1"):
+            solve_euler_with_drift(v0, None, 0.0, [0.0, 1e-4], cfg)
 
 
 class TestSolverInputs:
