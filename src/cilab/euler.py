@@ -15,13 +15,16 @@ with the box overwritten.  The kernel transforms u = v + Z up from the box,
 forms five products, transforms them back to the box and applies -P div
 there.  The products are those of T = u (x) u - u_z^2 Id; the dropped part
 div(u_z^2 Id) = grad(u_z^2) is a gradient, which the Leray projection
-removes, so P div T = P div(u (x) u).  The z-transforms and the products run
-over x-slabs of max(1, 32768 // n^2) planes inside one persistent work
-array, so neither the velocity grid nor the product tensor is ever built
-whole.  The kernel's multipliers are the box entries of the per-n
-``fields.spectral_tables``, from which every operator of ``fields`` reads
-its multipliers too.  One kernel and its work array serve every right-hand
-side of a solve.
+removes, so P div T = P div(u (x) u).  Only the two passes of x-transforms
+run over the whole work array; each x-slab of max(1, 16384 // n^2) planes
+does the rest while it is in cache: y-transform, z-transform, products,
+z-transform, y-transform.  The z-transforms are products with real DFT
+matrices that read and write only the columns k_z <= K (they beat the FFTs
+of whole lines at n <= 128), so neither the velocity grid nor the product
+tensor is ever built whole.  The kernel's multipliers are the box entries
+of the per-n ``fields.spectral_tables``, from which every operator of
+``fields`` reads its multipliers too.  One kernel and its work arrays serve
+every right-hand side of a solve.
 
 The two per-step diagnostics only decide an integer and a yes/no, so they
 are first settled from l1 bounds of the stored spectrum (``_sup_bounds``),
@@ -55,9 +58,9 @@ _CFL_FACTOR = 0.25
 # relative slack of the l1 bounds over the rounding of the transforms and
 # of the exact rule's division
 _BOUND_SLACK = 1.0 + 1e-9
-# grid points per x-slab of the advection kernel's z-transforms: 8 planes
-# at n = 64, the whole grid at n <= 32
-_SLAB_POINTS = 32768
+# grid points per x-slab of the advection kernel's y- and z-transforms: 4
+# planes at n = 64, 16 at n = 32, the whole grid at n <= 16
+_SLAB_POINTS = 16384
 # the terms (j, slot) of (div T)_i = sum_j d_j T_ij, for the products of
 # T = u (x) u - u_z^2 Id in the slots (u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y,
 # u_x u_z, u_y u_z); T_zz = 0 has no term
@@ -98,17 +101,21 @@ class _Advection:
     ``c[spectral_tables(n).box]``: along x and y the box rows are k = 0..K,
     then -K..-1.  Of the drift z, a full field or None, only the box is read.
 
-    A call runs in one persistent (5, n, n, n//2+1) work array.  Its first 3
-    components take u = v + z: the k_z <= K slab is zeroed and the 4 box
-    blocks written (the columns k_z > K are never written, so they stay 0),
-    then the lines that cross the box are inverse-transformed along x, and
-    the slab along y.  The middle runs over x-slabs of ``slab`` =
-    max(1, 32768 // n^2) planes: the c2r transform along z, the products,
-    and the r2c transform along z, whose k_z <= K columns go back into the
-    same planes of the work array, where the velocity is spent.  So neither
-    the (3, n, n, n) velocity grid nor the product tensor is built whole.
-    Forward transforms along y, then along x on the box rows, bring the
-    products to the box, and -P div is formed on its 4 blocks.
+    A call runs in one persistent (5, n, n, K+1) complex work array, the
+    columns k_z <= K of five half-spectra.  Its first 3 components take
+    u = v + z: the 4 box blocks are written, the rows off the box along x
+    are zeroed, and the lines that cross the box are inverse-transformed
+    along x.  Then each x-slab of ``slab`` = max(1, 16384 // n^2) planes,
+    while it is in cache, has its rows off the box along y zeroed and is
+    inverse-transformed along y.  Along z, one product with the c2r matrix
+    of ``_z_matrices`` takes the slab's lines, each as its 2K+2 floats, to
+    their grid values in a persistent buffer; the columns k_z > K, which
+    are 0, are never stored.  The five products are formed there, the r2c
+    matrix takes them straight back into the same planes of the work array,
+    where the velocity is spent, and those planes are forward-transformed
+    along y.  So neither the (3, n, n, n) velocity grid nor the product
+    tensor is built whole.  Forward transforms along x on the box rows bring
+    the products to the box, and -P div is formed on its 4 blocks.
 
     The five products are those of T = u (x) u - u_z^2 Id:
     u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y, u_x u_z and u_y u_z.  The dropped
@@ -124,8 +131,12 @@ class _Advection:
         K = self.tables.kmax
         self.shape = (3, 2 * K + 1, 2 * K + 1, K + 1)
         self.slab = min(n, max(1, _SLAB_POINTS // (n * n)))
-        self.work = np.zeros((5, n, n, n // 2 + 1), dtype=complex)
-        self._prod = np.empty((5, self.slab, n, n))
+        self.work = np.zeros((5, n, n, K + 1), dtype=complex)
+        # the work array's (x, y) lines as 2K+2 floats, re and im interleaved
+        self._lines = self.work.view(float).reshape(5, n * n, 2 * K + 2)
+        self._grid = np.empty((3, self.slab * n, n))
+        self._prod = np.empty((5, self.slab * n, n))
+        self._c2r, self._r2c = _z_matrices(n, K + 1)
 
     def __call__(self, v: np.ndarray, z: SpectralField | None,
                  out: np.ndarray) -> np.ndarray:
@@ -139,21 +150,27 @@ class _Advection:
         halves = ((slice(0, m), slice(0, m)), (slice(m, None), slice(hi, n)))
         work = self.work
         u = work[:3]
-        u[..., :m] = 0.0
+        # the rows that no box block covers: those off the box along x here,
+        # those off it along y slab by slab below
+        u[:, m:hi, :m] = 0.0
+        u[:, m:hi, hi:] = 0.0
         for bx, gx in halves:
             for by, gy in halves:
                 if z is None:
-                    u[:, gx, gy, :m] = v[:, bx, by]
+                    u[:, gx, gy] = v[:, bx, by]
                 else:
                     np.add(v[:, bx, by], z.coeffs[:, gx, gy, :m],
-                           out=u[:, gx, gy, :m])
-        for lines in (u[:, :, :m, :m], u[:, :, hi:, :m]):
+                           out=u[:, gx, gy])
+        for lines in (u[:, :, :m], u[:, :, hi:]):
             _transform_lines(_fft.ifft, lines, 1)
-        _transform_lines(_fft.ifft, u[..., :m], 2)
         for s in range(0, n, self.slab):
             e = min(s + self.slab, n)
-            ux, uy, uz = _fft.irfft(u[:, s:e], n, axis=3, norm="forward")
-            p = self._prod[:, :e - s]
+            u[:, s:e, m:hi] = 0.0
+            _transform_lines(_fft.ifft, u[:, s:e], 2)
+            lines = self._lines[:, s * n:e * n]
+            ux, uy, uz = np.matmul(lines[:3], self._c2r,
+                                   out=self._grid[:, :(e - s) * n])
+            p = self._prod[:, :(e - s) * n]
             np.multiply(ux, uy, out=p[2])
             np.multiply(ux, uz, out=p[3])
             np.multiply(uy, uz, out=p[4])
@@ -162,14 +179,14 @@ class _Advection:
             p[0] -= uz
             np.multiply(uy, uy, out=p[1])
             p[1] -= uz
-            work[:, s:e, :, :m] = _fft.rfft(p, axis=3, norm="forward")[..., :m]
-        _transform_lines(_fft.fft, work[..., :m], 2)
-        for lines in (work[:, :, :m, :m], work[:, :, hi:, :m]):
+            np.matmul(p, self._r2c, out=lines)
+            _transform_lines(_fft.fft, work[:, s:e], 2)
+        for lines in (work[:, :, :m], work[:, :, hi:]):
             _transform_lines(_fft.fft, lines, 1)
         dx, dy, dz = tab.box_deriv
         for bx, gx in halves:
             for by, gy in halves:
-                t, o = work[:, gx, gy, :m], out[:, bx, by]
+                t, o = work[:, gx, gy], out[:, bx, by]
                 d = (dx[bx], dy[:, by], dz)
                 for i, ((j, slot), *rest) in enumerate(_DIV_TERMS):
                     np.multiply(d[j], t[slot], out=o[i])
@@ -178,6 +195,23 @@ class _Advection:
         _leray(out, tab.box_deriv, tab.box_inv_lap)
         np.negative(out, out=out)
         return out
+
+
+def _z_matrices(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real DFT matrices along z, under ``norm="forward"``, for a line held
+    as the 2m floats re, im, re, im, ... of its columns k_z < m.
+
+    line @ c2r, with c2r of shape (2m, n), is the line's n grid values: the
+    c2r transform with 0 in the columns k_z >= m, which drops the imaginary
+    part at k_z = 0.  values @ r2c, with r2c of shape (n, 2m), is the line:
+    the columns k_z < m of the r2c transform."""
+    k, x = np.arange(m), np.arange(n)
+    angle = (2.0 * np.pi / n) * (np.outer(k, x) % n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    weight = np.where(k == 0, 1.0, 2.0)[:, None]   # the implicit -k_z
+    c2r = np.stack([weight * cos, -weight * sin], axis=1).reshape(2 * m, n)
+    r2c = np.stack([cos.T, -sin.T], axis=2).reshape(n, 2 * m) / n
+    return c2r, r2c
 
 
 def _transform_lines(fft, lines: np.ndarray, axis: int) -> None:
@@ -216,8 +250,9 @@ def _sup_bounds(u: SpectralField) -> tuple[float, float]:
     """Upper bounds of max_x |u_i| and max_x |d_j u_i| over i and j, from one
     pass over |c|: sum_k w_k |c_ik| and sum_k w_k |2 pi k'_j| |c_ik|, with
     the weights w_k of ``_weighted_abs`` and k'_j read from
-    ``spectral_tables`` (0 on the plane k_j = n/2, as in ``_dcomp``).  They hold for any stored array, whatever its k_z = 0
-    plane, Nyquist planes or modes outside the 2/3 box, and carry
+    ``spectral_tables`` (0 on the plane k_j = n/2, as in ``_dcomp``).  They
+    hold for any stored array, whatever its k_z = 0 plane, Nyquist planes or
+    modes outside the 2/3 box, and carry
     ``_BOUND_SLACK`` over the grid maxima the transforms compute.  A
     non-finite spectrum gives nan or inf."""
     n = u.grid.n

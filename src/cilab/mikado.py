@@ -116,27 +116,19 @@ class DirectionFamily:
         decomposition coefficients stay positive."""
         return float(np.min(self.id_coefficients / self.dual_norms))
 
-    def gamma_derivative_sup(self, n_samples: int = 400, seed: int = 0) -> float:
-        """Finite-difference sup of |grad gamma_xi| over the certified ball
-        (the empirical smoothness constant of the decomposition)."""
-        rng = np.random.default_rng(seed)
+    def gamma_derivative_sup(self) -> float:
+        """Exact sup of |d gamma_xi / d R_s| over xi, the 6 components s of
+        ``SYM_INDEX`` and the ball |R - Id|_F <= r, r = 0.98 min(certified
+        radius, 1/2): the smoothness constant of the decomposition.
+
+        gamma_xi = sqrt(c_xi) with c_xi affine in R, so the derivative is
+        gram_inv[xi, s] / (2 sqrt(c_xi(R))), largest where c_xi is least,
+        at R = Id - r M_xi / |M_xi|_F, where c_xi = c_xi(Id) - r |M_xi|_F.
+        """
         r = 0.98 * min(self.certified_radius(), 0.5)
-        h = 1e-5
-        sup = 0.0
-        for _ in range(n_samples):
-            e = rng.standard_normal((3, 3))
-            e = 0.5 * (e + e.T)
-            e *= rng.uniform(0, r) / np.linalg.norm(e)
-            base = np.eye(3) + e
-            g0 = gamma_coefficients(base, self)
-            for (i, j) in SYM_INDEX:
-                d = np.zeros((3, 3))
-                d[i, j] = d[j, i] = h
-                if np.linalg.norm(e + d) >= 0.5:
-                    continue
-                g1 = gamma_coefficients(base + d, self)
-                sup = max(sup, float(np.max(np.abs(g1 - g0)) / h))
-        return sup
+        c_min = self.id_coefficients - r * self.dual_norms
+        return float(np.max(np.abs(self.gram_inv).max(axis=1)
+                            / (2.0 * np.sqrt(c_min))))
 
 
 def build_direction_family(index: int) -> DirectionFamily:

@@ -12,7 +12,7 @@ from cilab.euler import (
 )
 from cilab.euler import _advection_rhs
 from cilab import euler
-from cilab.fields import SpectralField, gradient_tensor
+from cilab.fields import SpectralField, gradient_tensor, spectral_tables
 
 GRID = GridSpec(32)
 
@@ -267,8 +267,9 @@ def _reference_rhs(v, z):
 
 
 class TestAdvectionRHS:
-    # the kernel's z-transforms run over x-slabs of 32768 // n^2 planes: one
-    # slab at n <= 32, 8 at n = 64, and at n = 48 three of 14 and one of 6
+    # the kernel's y- and z-transforms run over x-slabs of 16384 // n^2
+    # planes: one slab at n = 16, 2 at n = 32, 16 at n = 64, and at n = 48
+    # six of 7 and one of 6
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
     @pytest.mark.parametrize("drift", [False, True])
     def test_matches_reference(self, n, drift):
@@ -404,6 +405,25 @@ class TestWorkArrays:
         for i, x in enumerate(out):
             for y in out[i + 1:]:
                 assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_kernel_ignores_stale_work_arrays(self, n):
+        """A kernel whose work arrays hold nan in every slot, after a call
+        on other input, gives the result of a fresh kernel bit for bit."""
+        g = GridSpec(n)
+        box = spectral_tables(n).box
+        v, w = (_white(g, seed=n + i).coeffs[box] for i in range(2))
+        z = _white(g, seed=n + 2, amp=0.3)
+        fresh = euler._Advection(g)(v, z, np.empty_like(v))
+        kernel = euler._Advection(g)
+        kernel(w, z, np.empty_like(w))
+        for arr in (kernel.work, kernel._prod, kernel._grid):
+            arr.fill(np.nan)
+        assert np.array_equal(kernel(v, z, np.empty_like(v)), fresh)
+        for arr in (kernel.work, kernel._prod, kernel._grid):
+            arr.fill(np.nan)
+        assert np.array_equal(kernel(v, None, np.empty_like(v)),
+                              euler._Advection(g)(v, None, np.empty_like(v)))
 
 
 def _arbitrary(grid, seed):

@@ -9,7 +9,7 @@ from cilab import (
     to_grid,
 )
 from cilab.fields import (
-    SYM_SLOT, ModeTable, c0_norm, dealias, divergence_defect,
+    SYM_SLOT, SYM_WEIGHT, ModeTable, c0_norm, dealias, divergence_defect,
     grid_l2_norm_squared, inner, l2_norm, mollifier_multiplier, trace_defect,
     zeros,
 )
@@ -84,6 +84,41 @@ class TestTransforms:
         f = random_band_limited(GRID, "vector3", 12, seed=2)
         g = to_grid(f)
         assert grid_l2_norm_squared(g) == pytest.approx(inner(f, f), rel=1e-12)
+
+
+def _full_spectrum(c):
+    """The whole lattice of coefficients from the stored half: the columns
+    k_z > n/2 are the conjugates of the stored modes at -k."""
+    n = c.shape[1]
+    full = np.empty(c.shape[:3] + (n,), dtype=complex)
+    full[..., :n // 2 + 1] = c
+    neg = -np.arange(n) % n
+    for kz in range(n // 2 + 1, n):
+        full[..., kz] = np.conj(c[:, neg][:, :, neg][..., n - kz])
+    return full
+
+
+class TestInner:
+    @pytest.mark.parametrize("rank,ncomp",
+                             [("scalar", 1), ("vector3", 3),
+                              ("symtensor3x3", 6)])
+    def test_matches_sum_over_the_full_lattice(self, rank, ncomp):
+        grid = GridSpec(8)
+        rng = np.random.default_rng(ncomp)
+        f, g = (from_grid(rng.standard_normal((ncomp, 8, 8, 8)), grid, rank)
+                for _ in range(2))
+        # white fields: the columns k_z = 0 and n/2 hold modes too
+        for h in (f, g):
+            assert np.all(h.coeffs[..., [0, 4]].real != 0)
+        weight = SYM_WEIGHT if rank == "symtensor3x3" else np.ones(ncomp)
+        full_f, full_g = _full_spectrum(f.coeffs), _full_spectrum(g.coeffs)
+        ref = sum(weight[c] * np.sum(full_f[c] * np.conj(full_g[c])).real
+                  for c in range(ncomp))
+        assert inner(f, g) == pytest.approx(ref, rel=1e-14)
+        # and the full lattice is the grid's spectrum
+        samples = to_grid(f).reshape(ncomp, 8, 8, 8)
+        assert np.allclose(full_f, np.fft.fftn(samples, axes=(1, 2, 3),
+                                               norm="forward"), atol=1e-14)
 
 
 class TestDifferential:

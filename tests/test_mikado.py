@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cilab import GridSpec
-from cilab.fields import c0_norm, differential, to_grid, zeros
+from cilab.fields import SYM_INDEX, c0_norm, differential, to_grid, zeros
 from cilab.mikado import (
     CertificationError, build_direction_family, build_family_flows,
     build_mikado, decomposition_coefficients, gamma_coefficients,
@@ -81,6 +81,43 @@ class TestCertifiedRadius:
             np.eye(3) - r_star * m[i_star] / norms[i_star], fam)
         assert abs(c[i_star]) < 1e-14
         assert np.all(np.delete(c, i_star) > 0)
+
+
+class TestGammaDerivativeSup:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_attained_at_the_worst_boundary_point(self, index):
+        """A central difference of gamma_xi at R = Id - r M_xi / |M_xi|_F,
+        where c_xi is least on the ball, gives the closed-form sup."""
+        fam = (FAM0, FAM1)[index]
+        m = TestCertifiedRadius.dual_matrices(fam)
+        norms = np.sqrt(np.sum(m**2, axis=(1, 2)))
+        r = 0.98 * min(fam.certified_radius(), 0.5)
+        h = 1e-5
+        worst = 0.0
+        for xi in range(6):
+            R = np.eye(3) - r * m[xi] / norms[xi]
+            for (i, j) in SYM_INDEX:
+                d = np.zeros((3, 3))
+                d[i, j] = d[j, i] = h
+                diff = (gamma_coefficients(R + d, fam)[xi]
+                        - gamma_coefficients(R - d, fam)[xi]) / (2 * h)
+                worst = max(worst, abs(diff))
+        assert worst == pytest.approx(fam.gamma_derivative_sup(), rel=1e-6)
+
+    def test_bounds_differences_inside_the_ball(self):
+        rng = np.random.default_rng(12)
+        h = 1e-6
+        for fam in (FAM0, FAM1):
+            sup = fam.gamma_derivative_sup()
+            r = 0.98 * min(fam.certified_radius(), 0.5)
+            for _ in range(50):
+                R = random_ball_matrix(rng, r - h)
+                for (i, j) in SYM_INDEX:
+                    d = np.zeros((3, 3))
+                    d[i, j] = d[j, i] = h
+                    diff = (gamma_coefficients(R + d, fam)
+                            - gamma_coefficients(R - d, fam)) / (2 * h)
+                    assert np.max(np.abs(diff)) <= sup * (1 + 1e-6)
 
 
 class TestGamma:
