@@ -18,6 +18,7 @@ import numpy as np
 
 _EPS_TILT = 0.25       # slab shrink fraction (epsilon in (0, 1/3))
 _EPS_MOLL = 1.0 / 64.0  # mollification fraction (epsilon_0)
+_ETA_WINDOWS = 16       # eta windows whose live rows pass the nodes at once
 
 
 def smoothstep(s):
@@ -183,24 +184,26 @@ class EtaFamily:
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
         width = self.eps_moll * self.tau
         shifts = [tilt * np.sin(2 * np.pi * (x1 - yk)) for yk in y]
-        for i in range(self.n_windows):
-            if self.straight_zero and i == 0:
-                prof = self._straight0(t)
-                vals[i] = prof[:, None] * np.ones((1, self.n_x1))
-                continue
+        if self.straight_zero:
+            vals[0] = self._straight0(t)[:, None]
+        # bump_cdf is exactly 0 below 0 and exactly 1 above 1, so each term
+        # vanishes unless lo < t - shift < hi + width: only times within that
+        # span, padded by the tilt and by width, can be nonzero.  The live
+        # (window, time) rows of _ETA_WINDOWS windows go through the nodes
+        # together.
+        for w0 in range(int(self.straight_zero), self.n_windows, _ETA_WINDOWS):
+            i = np.arange(w0, min(w0 + _ETA_WINDOWS, self.n_windows))
             lo = i * self.tau + self.eps_tilt * self.tau / 3.0
             hi = i * self.tau + (3.0 - self.eps_tilt) * self.tau / 3.0
-            # bump_cdf is exactly 0 below 0 and exactly 1 above 1, so each
-            # term vanishes unless lo < t - shift < hi + width: only times
-            # within that span, padded by the tilt and by width, can be nonzero
-            rows = (t > lo - tilt - width) & (t < hi + tilt + 2.0 * width)
-            tr = t[rows]
-            acc = np.zeros((len(tr), self.n_x1))
+            w, r = np.nonzero((t > (lo - tilt - width)[:, None])
+                              & (t < (hi + tilt + 2.0 * width)[:, None]))
+            tr, lo_r, hi_r = t[r, None], lo[w, None], hi[w, None]
+            acc = np.zeros((len(r), self.n_x1))
             for sh, wk in zip(shifts, wy):
-                arg_lo = (tr[:, None] - sh[None, :] - lo) / width
-                arg_hi = (tr[:, None] - sh[None, :] - hi) / width
+                arg_lo = (tr - sh[None, :] - lo_r) / width
+                arg_hi = (tr - sh[None, :] - hi_r) / width
                 acc += wk * (bump_cdf(arg_lo) - bump_cdf(arg_hi))
-            vals[i, rows] = acc
+            vals[i[w], r] = acc
         self.values = vals
         if self.straight_zero:
             te1 = self.tau

@@ -130,8 +130,9 @@ class ModeTable:
     |k_i| must be below n/2: beyond that, k and k - n share a slot.
 
     Scatters take values of shape (ncomp, M), write the partner as well, and
-    so keep the stored spectrum that of a real field.  ``scatter_add`` adds in
-    mode order, so repeated wavevectors accumulate exactly as one
+    so keep the stored spectrum that of a real field.  ``scatter_add`` adds
+    every write to its slot in mode order, one ``np.add.at`` per component,
+    so repeated wavevectors accumulate exactly as one
     ``set_mode(k, get_mode(k) + v)`` per row would.
     """
 
@@ -176,15 +177,13 @@ class ModeTable:
 
     def _writes(self, values) -> np.ndarray:
         """Values for ``_targets``: the stored value, then the partner's."""
-        vals = np.asarray(values, dtype=complex)[:, self._source]
-        return np.where(self._conj_write, np.conj(vals), vals)
+        vals = np.take(np.asarray(values, dtype=complex), self._source, axis=1)
+        return np.conjugate(vals, out=vals, where=self._conj_write)
 
     def scatter_add(self, coeffs: np.ndarray, values) -> None:
         """Add ``values`` at every k, in mode order."""
-        flat = self._flat(coeffs)
-        vals = np.broadcast_to(self._writes(values),
-                               (flat.shape[0], self._targets.size))
-        for comp, v in zip(flat, vals):
+        for comp, v in zip(self._flat(coeffs), self._writes(values),
+                           strict=True):
             np.add.at(comp, self._targets, v)
 
     def scatter_set(self, coeffs: np.ndarray, values) -> None:

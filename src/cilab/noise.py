@@ -6,10 +6,12 @@ eigenvalues c_k = scale * (1+|k|^2)^(-p).  Brownian increments come from
 counter-based Philox streams keyed by (seed, mode index), so paths are
 bit-reproducible regardless of evaluation order.
 
-Mode work goes through ``fields.ModeTable``: a field of B, of its
-mollification or of its low-pass part is one scatter of all modes into the
-half-spectrum, and the projections <u, e_k> are one gather.  Path norms,
-the mollification and the Ito sums run over all modes and samples at once.
+Mode work goes through ``fields.ModeTable``: a field of B or of its
+mollification is one scatter of all modes into the half-spectrum, and the
+projections <u, e_k> are one gather.  Path norms and the Ito sum of a fixed
+field run over all modes and samples at once; the mollification over all
+modes at once, one matrix product per block of output samples; the Ito sum
+of one field per sample over all modes of a few samples at a time.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,8 @@ from .fields import ModeTable, SpectralField, zeros
 from .grids import GridSpec
 
 _SQRT2 = np.sqrt(2.0)
+_BLOCK = 32   # output samples per Toeplitz block product of MollifiedPath
+_ITO_CHUNK = 8   # samples per projection in ito_integral
 
 
 @dataclass(frozen=True)
@@ -221,19 +225,32 @@ class MollifiedPath:
         dw = bump_deriv(r) * 2.0 / iota
         self.dweights = dw * path.dt / total
         self.lags = np.arange(1, n_taps)
-        # mollified per-mode coordinates and their time derivative: a causal
-        # FIR filter, B taken as 0 before time 0.  Direct convolution, not
-        # FFT: the value at t_i must not depend on samples after t_i, not
-        # even at rounding level.
+        # mollified per-mode coordinates and their time derivative, B taken
+        # as 0 before time 0: z(t_i) = sum_lag w[lag-1] B(t_{i-lag}).  Each
+        # block of _BLOCK outputs from t_{i0} on is one product with the
+        # Toeplitz block T: row r holds the sample t_{i0-taps+r}, and column
+        # pair c gives z and dz/dt at t_{i0+c}.  T is exactly 0 where a
+        # sample lies at or after the output's time, and a + x * 0 == a for
+        # finite x, so z(t_i) does not depend on later samples, not even at
+        # rounding level.
+        taps, L = n_taps - 1, _BLOCK
+        kern = np.zeros((taps + 2 * L, 2))   # (w, dw) at lag, in row L + lag
+        kern[L + 1:L + 1 + taps] = np.stack([self.weights, self.dweights], 1)
+        T = kern[L + taps + np.arange(L) - np.arange(taps + L - 1)[:, None]]
         beta = path.beta
-        N1 = beta.shape[1]
-        self.beta_z = np.zeros(beta.shape)
-        self.dbeta_z = np.zeros(beta.shape)
-        for row, z, dz in zip(beta, self.beta_z, self.dbeta_z):
-            # z(t_i) = sum_tap w[tap] B(t_{i-1-tap}): entry i-1 of the full
-            # convolution
-            z[1:] = np.convolve(row, self.weights)[:N1 - 1]
-            dz[1:] = np.convolve(row, self.dweights)[:N1 - 1]
+        M, N1 = beta.shape
+        self.beta_z, self.dbeta_z = np.zeros((2, M, N1))
+        for i0 in range(1, N1, L):
+            j0 = max(i0 - taps, 0)
+            rows = beta[:, j0:i0 + L - 1]
+            if i0 + L - 1 > N1:
+                # zeros past the last sample give the last block the shape it
+                # has on a longer path: z does not depend on the horizon
+                rows = np.pad(rows, ((0, 0), (0, i0 + L - 1 - N1)))
+            zz = rows @ T[j0 + taps - i0:].reshape(-1, 2 * L)
+            zz = zz.reshape(M, L, 2)
+            self.beta_z[:, i0:i0 + L] = zz[:, :N1 - i0, 0]
+            self.dbeta_z[:, i0:i0 + L] = zz[:, :N1 - i0, 1]
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
         return self.path._assemble(self.path._roots * self.beta_z[:, i], grid)
@@ -241,23 +258,6 @@ class MollifiedPath:
     def dfield_at(self, i: int, grid: GridSpec) -> SpectralField:
         """Analytic-kernel time derivative of z at t_i."""
         return self.path._assemble(self.path._roots * self.dbeta_z[:, i], grid)
-
-
-def mollify_time_one_sided(path: NoisePath, iota: float) -> MollifiedPath:
-    return MollifiedPath(path, iota)
-
-
-class LowpassPath:
-    """Sharp Fourier truncation of B to |k| <= cutoff (Cauchy-mode noise)."""
-
-    def __init__(self, path: NoisePath, cutoff: float):
-        self.path = path
-        self.cutoff = float(cutoff)
-        self.mask = (path.spec.k_squared() <= cutoff * cutoff + 1e-9).astype(float)
-
-    def field_at(self, i: int, grid: GridSpec) -> SpectralField:
-        w = self.path._roots * self.path.beta[:, i] * self.mask
-        return self.path._assemble(w, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,19 @@ def ito_integral(u_samples, path: NoisePath, n_steps: int | None = None) -> np.n
     if single:
         steps = path.project(u_samples) @ db
     else:
-        proj = np.empty((n, path.spec.n_modes))
-        for j in range(n):
-            proj[j] = path.project(u_samples[j])
-        steps = np.einsum("jm,mj->j", proj, db)
+        # <u(t_j), e_k> for _ITO_CHUNK samples at a time, from the stored
+        # slots of each sample gathered into one reused buffer.  Where the
+        # table stores a mode conjugated, conjugating its stamp instead
+        # leaves the real part of each product, and so <u, e_k>, unchanged
+        conj = path._table(u_samples[0].grid).conj[:, None]
+        stamps = np.where(conj, path._stamps, np.conj(path._stamps))
+        cu = np.empty((_ITO_CHUNK, 3, path.spec.n_modes), complex)
+        steps = np.empty(n)
+        for j0 in range(0, n, _ITO_CHUNK):
+            m = min(_ITO_CHUNK, n - j0)
+            for buf, u in zip(cu, u_samples[j0:j0 + m]):
+                np.take(u.coeffs.reshape(len(u.coeffs), -1),
+                        path._table(u.grid).slot, axis=1, out=buf)
+            proj = 2.0 * np.real(np.einsum("jcm,mc->jm", cu[:m], stamps))
+            steps[j0:j0 + m] = np.einsum("jm,mj->j", proj, db[:, j0:j0 + m])
     return np.concatenate([[0.0], np.cumsum(steps)])

@@ -177,6 +177,47 @@ class TestEta:
             assert np.array_equal(eta.values[i], ref)
 
 
+def _eta_window_loop(eta):
+    """Reference for EtaFamily: the nodes summed in order over the live
+    rows of one window at a time."""
+    t = np.asarray(eta.times)
+    x1 = np.arange(eta.n_x1) / eta.n_x1
+    tilt = 2.0 * eta.eps_tilt * eta.tau / 3.0
+    y = (np.arange(33) + 0.5) / 33 * eta.eps_moll
+    wy = bump((2.0 * (y / eta.eps_moll) - 1.0) ** 2)
+    wy /= wy.sum()
+    width = eta.eps_moll * eta.tau
+    ref = np.zeros_like(eta.values)
+    for i in range(eta.n_windows):
+        if eta.straight_zero and i == 0:
+            ref[0] = eta._straight0(t)[:, None]
+            continue
+        lo = i * eta.tau + eta.eps_tilt * eta.tau / 3.0
+        hi = i * eta.tau + (3.0 - eta.eps_tilt) * eta.tau / 3.0
+        rows = (t > lo - tilt - width) & (t < hi + tilt + 2.0 * width)
+        tr = t[rows]
+        acc = np.zeros((len(tr), eta.n_x1))
+        for yk, wk in zip(y, wy):
+            sh = tilt * np.sin(2 * np.pi * (x1 - yk))
+            acc += wk * (bump_cdf((tr[:, None] - sh - lo) / width)
+                         - bump_cdf((tr[:, None] - sh - hi) / width))
+        ref[i, rows] = acc
+    return ref
+
+
+class TestEtaWindowBatch:
+    @pytest.mark.parametrize("straight_zero", [False, True])
+    def test_matches_window_loop_on_a_path_grid(self, straight_zero):
+        # the grid of a 1000-step path with dt = 1e-3 and the toy ladder's
+        # tau_0: about 97 windows
+        lad = ladder(a=2.0 ** 130, b=1.04, alpha=1e-4, beta=0.2, L=24.0,
+                     q_max=2, overrides={0: 1.0, 1: 2.0, 2: 3.0})
+        eta = EtaFamily(lad.tau[0], np.arange(1001) * 1e-3, n_x1=16,
+                        straight_zero=straight_zero)
+        assert eta.n_windows >= 90
+        assert np.array_equal(eta.values, _eta_window_loop(eta))
+
+
 class TestEtaCauchy:
     def setup_method(self):
         self.tau = 0.05

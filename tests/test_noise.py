@@ -4,11 +4,9 @@ import pytest
 from cilab import GridSpec
 from cilab.fields import (c0_norm, differential, from_grid, inner, to_grid,
                           zeros)
-from cilab.noise import (
-    LowpassPath, MollifiedPath, SpectrumSpec, StoppingTimeResult,
-    ito_integral, mollify_time_one_sided,
-    sample_path, stopping_time, trace,
-)
+from cilab.noise import (_BLOCK, MollifiedPath, SpectrumSpec,
+                         StoppingTimeResult, ito_integral, sample_path,
+                         stopping_time, trace)
 
 GRID = GridSpec(16)
 SPEC = SpectrumSpec(p=6.0, scale=1.0, k_max=2)
@@ -134,7 +132,7 @@ class TestModeAssembly:
         for i in (0, 1, 9, p.n_steps):
             ref = _assemble_loop(p, roots * p.beta[:, i], GRID)
             assert np.array_equal(p.field_at(i, GRID).coeffs, ref.coeffs)
-        z = mollify_time_one_sided(p, 0.05)
+        z = MollifiedPath(p, 0.05)
         ref = _assemble_loop(p, roots * z.dbeta_z[:, 12], GridSpec(32))
         assert np.array_equal(z.dfield_at(12, GridSpec(32)).coeffs,
                               ref.coeffs)
@@ -156,7 +154,7 @@ class TestModeAssembly:
 class TestMollified:
     def test_matches_tap_loop(self):
         p = sample_path(SPEC, 0.01, 1.0, seed=17)
-        z = mollify_time_one_sided(p, 0.23)
+        z = MollifiedPath(p, 0.23)
         ref_z, ref_dz = np.zeros_like(p.beta), np.zeros_like(p.beta)
         for w, dw, lag in zip(z.weights, z.dweights, z.lags):
             ref_z[:, lag:] += w * p.beta[:, :-lag]
@@ -166,13 +164,13 @@ class TestMollified:
 
     def test_zero_at_time_zero(self):
         p = sample_path(SPEC, 0.01, 1.0, seed=3)
-        z = mollify_time_one_sided(p, 0.1)
+        z = MollifiedPath(p, 0.1)
         assert np.all(z.beta_z[:, 0] == 0.0)
 
     def test_rejects_under_resolved(self):
         p = sample_path(SPEC, 0.1, 1.0, seed=3)
         with pytest.raises(ValueError, match="under-resolved"):
-            mollify_time_one_sided(p, 0.15)
+            MollifiedPath(p, 0.15)
 
     def test_rejects_kernel_wider_than_path(self):
         p = sample_path(SpectrumSpec(p=6, scale=0.0075, k_max=4), 1e-3,
@@ -186,9 +184,46 @@ class TestMollified:
         p2 = sample_path(SPEC, 0.01, 1.0, seed=4)
         cut = 50
         p2.beta[:, cut + 1:] += 7.0
-        z1 = mollify_time_one_sided(p1, 0.1)
-        z2 = mollify_time_one_sided(p2, 0.1)
+        z1 = MollifiedPath(p1, 0.1)
+        z2 = MollifiedPath(p2, 0.1)
         assert np.array_equal(z1.beta_z[:, :cut + 1], z2.beta_z[:, :cut + 1])
+
+    @pytest.mark.parametrize("where", ["block_start", "mid_block", "last"])
+    def test_adapted_across_block_edges(self, where):
+        # more than 3 output blocks and a kernel longer than a block, so a
+        # block reads samples of the block before it
+        dt = 0.01
+        p1 = sample_path(SPEC, dt, 4 * _BLOCK * dt, seed=21)
+        p2 = sample_path(SPEC, dt, 4 * _BLOCK * dt, seed=21)
+        iota = 1.5 * _BLOCK * dt
+        cut = {"block_start": 1 + 2 * _BLOCK,
+               "mid_block": 1 + 2 * _BLOCK + _BLOCK // 2,
+               "last": p1.n_steps}[where]
+        p2.beta[:, cut:] += 7.0
+        z1, z2 = MollifiedPath(p1, iota), MollifiedPath(p2, iota)
+        assert len(z1.weights) > _BLOCK
+        assert np.array_equal(z1.beta_z[:, :cut + 1], z2.beta_z[:, :cut + 1])
+        assert np.array_equal(z1.dbeta_z[:, :cut + 1],
+                              z2.dbeta_z[:, :cut + 1])
+        if cut < p1.n_steps:   # the perturbation reaches the later values
+            assert not np.array_equal(z1.beta_z[:, cut + 1:],
+                                      z2.beta_z[:, cut + 1:])
+
+    def test_independent_of_the_horizon(self):
+        # same seed, two horizons: z on the shared samples is the same,
+        # whether the shorter path ends at a block edge or inside a block.
+        # A 750-sample kernel makes the block products long enough for the
+        # BLAS to split their inner dimension into panels
+        dt, iota = 1e-3, 0.75
+        long = sample_path(SPEC, dt, 1.0, seed=22)
+        z_long = MollifiedPath(long, iota)
+        for steps in (25 * _BLOCK, 25 * _BLOCK + 5):
+            short = sample_path(SPEC, dt, steps * dt, seed=22)
+            n1 = short.n_steps + 1
+            assert np.array_equal(short.beta, long.beta[:, :n1])
+            z = MollifiedPath(short, iota)
+            assert np.array_equal(z.beta_z, z_long.beta_z[:, :n1])
+            assert np.array_equal(z.dbeta_z, z_long.dbeta_z[:, :n1])
 
     def test_derivative_matches_finite_differences(self):
         # oracle: replace the Brownian coordinates by smooth functions and
@@ -197,7 +232,7 @@ class TestMollified:
         tt = p.times
         for m in range(p.spec.n_modes):
             p.beta[m] = np.sin(3.0 * tt + 0.37 * m) + 0.5 * tt
-        z = mollify_time_one_sided(p, 0.128)
+        z = MollifiedPath(p, 0.128)
         i0, i1 = 400, 900
         b = z.beta_z
         fd = (-b[:, i0 + 2:i1 + 2] + 8 * b[:, i0 + 1:i1 + 1]
@@ -214,7 +249,7 @@ class TestMollified:
         iotas = [2.0 ** (-e) for e in range(3, 8)]
         errs = []
         for iota in iotas:
-            z = mollify_time_one_sided(p, iota)
+            z = MollifiedPath(p, iota)
             # C1 norm of z - B via mode coefficients: sup_x |f| <= sum_k ...
             diff = np.abs(z.beta_z - p.beta)
             w = np.sqrt(p.spec.eigenvalues())
@@ -325,15 +360,3 @@ class TestItoIntegral:
         u = p.field_at(0, GRID)
         with pytest.raises(ValueError, match="time grid"):
             ito_integral([u] * 3, p)
-
-
-class TestLowpass:
-    def test_projects_high_modes(self):
-        spec = SpectrumSpec(p=2.0, scale=1.0, k_max=2)
-        p = sample_path(spec, 0.02, 0.5, seed=13)
-        z = LowpassPath(p, cutoff=1.0)
-        f = z.field_at(10, GRID)
-        for mode in spec.modes:
-            ksq = sum(v * v for v in mode.k)
-            if ksq > 1:
-                assert np.abs(f.get_mode(mode.k)).max() < 1e-14
