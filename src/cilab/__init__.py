@@ -17,7 +17,6 @@ from .fields import (
     to_grid,
     differential,
     leray_project,
-    biot_savart,
     inverse_divergence,
     band_project,
     mollify_space,
@@ -34,7 +33,6 @@ __all__ = [
     "to_grid",
     "differential",
     "leray_project",
-    "biot_savart",
     "inverse_divergence",
     "band_project",
     "mollify_space",

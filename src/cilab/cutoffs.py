@@ -232,10 +232,18 @@ class EtaFamily:
         return float(np.sum(np.mean(self.values[:, t_idx, :] ** 2, axis=1)))
 
     def overlap_defect(self) -> float:
-        """max over (t, x1) of eta_i * eta_j for i != j."""
+        """max over (t, x1) of eta_i * eta_j for i != j.
+
+        eta >= 0, so a pair whose live (time) rows do not meet has products
+        exactly 0 and leaves the max at its start value 0; only the pairs
+        whose live rows meet are multiplied, over the rows they share."""
+        live = np.any(self.values != 0.0, axis=2)
+        # shared[i, j]: the number of live rows that windows i < j share
+        live_f = live.astype(float)
+        shared = np.triu(live_f @ live_f.T, 1)
         worst = 0.0
-        for i in range(self.n_windows):
-            for j in range(i + 1, self.n_windows):
-                worst = max(worst, float(np.max(self.values[i]
-                                                * self.values[j])))
+        for i, j in zip(*np.nonzero(shared)):
+            rows = live[i] & live[j]
+            worst = max(worst, float(np.max(self.values[i, rows]
+                                            * self.values[j, rows])))
         return worst

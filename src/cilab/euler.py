@@ -37,6 +37,8 @@ bound, or nan or inf) do the grid transforms run, and then they decide as
 before, so the step counts and the outputs are those of the exact rules.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -67,6 +69,9 @@ _SLAB_POINTS = 16384
 _DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
               ((0, 2), (1, 1), (2, 4)),
               ((0, 3), (1, 4)))
+# an interpolant call takes at most one part per this many points, so a
+# small call runs on one thread
+_PART_POINTS = 8192
 
 
 @dataclass
@@ -447,6 +452,14 @@ class SpectralInterpolant:
     The prefilter is a Fourier multiplier: along each axis the copied modes
     are divided by the symbol of the sampled spline, so one inverse
     transform gives the coefficients.
+
+    A call splits its points into min(usable CPUs, ceil(points /
+    ``_PART_POINTS``)) contiguous parts and evaluates them on the threads of
+    a pool that the call joins before it returns; ``map_coordinates``
+    releases the interpreter lock, so the parts run at once.  Each point's
+    value is computed alone, so the split changes no value.  The class is to
+    be replaced by an Eulerian flow map solved on the grid (ROADMAP
+    direction 1).
     """
 
     def __init__(self, f: SpectralField, pad_factor: int = 2, order: int = 6):
@@ -481,12 +494,29 @@ class SpectralInterpolant:
                              f"called with order {order}")
         shape = points.shape[1:]
         x = (points.reshape(3, -1) % 1.0) * self.nf
-        out = np.empty((self.spline.shape[0], x.shape[1]))
-        for comp, coef in zip(out, self.spline):
-            ndimage.map_coordinates(coef, x, output=comp,
-                                    order=self.order - 1, mode="grid-wrap",
-                                    prefilter=False)
+        m = x.shape[1]
+        out = np.empty((self.spline.shape[0], m))
+        k = max(1, min(_usable_cpus(), -(-m // _PART_POINTS)))
+
+        def evaluate(part):
+            for comp, coef in zip(out, self.spline):
+                ndimage.map_coordinates(coef, x[:, part], output=comp[part],
+                                        order=self.order - 1,
+                                        mode="grid-wrap", prefilter=False)
+
+        parts = [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            # reading every result re-raises an error of any part here
+            list(pool.map(evaluate, parts))
         return out.reshape((self.spline.shape[0],) + shape)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _spline_symbol(degree: int, freq: np.ndarray) -> np.ndarray:
@@ -561,10 +591,14 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     previous map with a one-step backward characteristic solved by RK4;
     velocities and the previous displacement are evaluated off the grid by
     ``SpectralInterpolant`` with ``cfg.pad_factor`` and
-    ``cfg.interp_points``.  Each substep's last stage time is the next
-    substep's first, so that velocity interpolant is built once for both;
-    a velocity whose coefficients equal those of the last build (compared
-    by value against a kept copy) reuses that build.
+    ``cfg.interp_points``, whose calls split the grid nodes over the usable
+    CPUs; the split changes no value, so the map is that of a one-thread
+    evaluation, bit for bit.  The interpolant, and with it this tracing of
+    characteristics off the grid, is to be replaced by an Eulerian map
+    solved on the grid (ROADMAP direction 1).  Each substep's last stage
+    time is the next substep's first, so that velocity interpolant is built
+    once for both; a velocity whose coefficients equal those of the last
+    build (compared by value against a kept copy) reuses that build.
     Substeps are chosen so each RK4 step sees
     dt*||grad u|| <= 0.1 (keeps the volume defect of the non-conservative
     integrator near rounding over admissible spans).

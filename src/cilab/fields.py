@@ -329,13 +329,6 @@ def gradient_tensor(v: SpectralField) -> np.ndarray:
     return np.stack(rows)
 
 
-def laplacian_inverse(f: SpectralField) -> SpectralField:
-    """(-Lap)^{-1}; 0 at the mean and the all-Nyquist corners."""
-    return SpectralField(f.grid, f.rank,
-                         f.coeffs * spectral_tables(f.grid.n).inv_lap,
-                         mean_zero=True)
-
-
 # ---------------------------------------------------------------------------
 # projections and inverse operators
 # ---------------------------------------------------------------------------
@@ -364,26 +357,6 @@ def divergence_defect(v: SpectralField) -> float:
     dv = c0_norm(differential(v, "div"))
     scale = c0_norm(v)
     return dv / scale if scale > 0 else 0.0
-
-
-def biot_savart(v: SpectralField, tol: float = 1e-10) -> SpectralField:
-    """Vector potential b = (-Lap)^{-1} curl v with curl b = v, div b = 0.
-
-    Preconditions (checked to ``tol``, relative): v has zero mean and is
-    divergence-free.
-    """
-    if v.rank != "vector3":
-        raise ValueError("biot_savart expects a vector3 field")
-    scale = c0_norm(v)
-    if scale > 0:
-        mean = np.abs(v.coeffs[:, 0, 0, 0]).max()
-        if mean > tol * scale:
-            raise ValueError("biot_savart precondition violated: field has "
-                             f"nonzero mean ({mean:.3e})")
-        if divergence_defect(v) > tol:
-            raise ValueError("biot_savart precondition violated: field is "
-                             "not divergence-free")
-    return laplacian_inverse(differential(v, "curl"))
 
 
 def inverse_divergence(v: SpectralField) -> SpectralField:
@@ -509,25 +482,9 @@ def c0_norm(f: SpectralField) -> float:
     return float(np.max(np.abs(to_grid(f))))
 
 
-def grid_l2_norm_squared(samples: np.ndarray, rank: str = "vector3") -> float:
-    """Quadrature of integral |f|^2 dx from grid samples."""
-    n3 = samples.shape[-1] ** 3
-    if rank == "symtensor3x3":
-        comp = (samples**2 * SYM_WEIGHT[:, None, None, None]).sum()
-    else:
-        comp = (samples**2).sum()
-    return float(comp) / n3
-
-
 # ---------------------------------------------------------------------------
 # symmetric-tensor helpers
 # ---------------------------------------------------------------------------
-
-def trace_defect(f: SpectralField) -> float:
-    """Grid sup-norm of the pointwise trace of a symmetric tensor field."""
-    s = to_grid(f)
-    return float(np.max(np.abs(s[0] + s[3] + s[5])))
-
 
 def outer_sym(a: np.ndarray, b: np.ndarray, traceless: bool = False) -> np.ndarray:
     """Symmetric part of the outer product of two (3,n,n,n) grid fields,

@@ -134,6 +134,28 @@ class TestInterpolant:
             SpectralInterpolant(zeros(GRID, "vector3"), order=order)
 
 
+class TestInterpolantParts:
+    # four usable CPUs on any host: the counts take 1, 1, 2 and 4 parts
+    @pytest.mark.parametrize("m", [1, 8191, 8193, 3 * 8192 + 1])
+    @pytest.mark.parametrize("order", [None, 6])
+    def test_matches_one_thread_loop(self, monkeypatch, m, order):
+        import threading
+        from scipy import ndimage
+        monkeypatch.setattr(euler, "_usable_cpus", lambda: 4)
+        interp = SpectralInterpolant(smooth_div_free(GridSpec(16), 4, seed=9))
+        pts = np.random.default_rng(m).uniform(-1.0, 2.0, size=(3, m))
+        x = (pts % 1.0) * interp.nf
+        ref = np.stack([ndimage.map_coordinates(coef, x,
+                                                order=interp.order - 1,
+                                                mode="grid-wrap",
+                                                prefilter=False)
+                        for coef in interp.spline])
+        threads = threading.active_count()
+        assert np.array_equal(interp(pts, order=order), ref)
+        # the call's pool is joined before it returns
+        assert threading.active_count() == threads
+
+
 class TestPrefilter:
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_matches_ndimage_prefilter(self, order):

@@ -218,6 +218,32 @@ class TestEtaWindowBatch:
         assert np.array_equal(eta.values, _eta_window_loop(eta))
 
 
+def _overlap_all_pairs(eta):
+    """Reference for EtaFamily.overlap_defect: every window pair, whole
+    arrays."""
+    worst = 0.0
+    for i in range(eta.n_windows):
+        for j in range(i + 1, eta.n_windows):
+            worst = max(worst, float(np.max(eta.values[i] * eta.values[j])))
+    return worst
+
+
+class TestEtaOverlap:
+    # eps_moll = 0.3 widens the mollifier until neighbouring windows
+    # overlap, so the defect is positive there and 0 at the default
+    @pytest.mark.parametrize("straight_zero", [False, True])
+    @pytest.mark.parametrize("eps_moll", [1.0 / 64.0, 0.3])
+    def test_matches_all_pairs_on_a_path_grid(self, straight_zero, eps_moll):
+        lad = ladder(a=2.0 ** 130, b=1.04, alpha=1e-4, beta=0.2, L=24.0,
+                     q_max=2, overrides={0: 1.0, 1: 2.0, 2: 3.0})
+        eta = EtaFamily(lad.tau[0], np.arange(1001) * 1e-3, n_x1=16,
+                        straight_zero=straight_zero, eps_moll=eps_moll)
+        assert eta.n_windows >= 90
+        ref = _overlap_all_pairs(eta)
+        assert (ref > 0.0) == (eps_moll == 0.3)
+        assert eta.overlap_defect() == ref
+
+
 class TestEtaCauchy:
     def setup_method(self):
         self.tau = 0.05
