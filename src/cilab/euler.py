@@ -46,8 +46,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SpectralField, _dcomp, _leray, c0_norm, differential, from_grid, inner,
-    leray_project, spectral_tables,
+    SpectralField, _leray, c0_norm, differential, from_grid, gradient_tensor,
+    inner, leray_project, spectral_tables,
 )
 from .grids import GridSpec
 from .holder import holder_norm
@@ -90,9 +90,7 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     none); the limit is advisory at desk scale.
     """
     order = 1.0 + alpha
-    v_norm = (holder_norm(v0, order, n_pairs=4000).value(order)
-              if c0_norm(v0) > 0 else 0.0)
-    total = v_norm + z_c2_alpha
+    total = holder_norm(v0, order).value(order) + z_c2_alpha
     if total <= 0:
         return horizon
     return min(0.25 / total, horizon)
@@ -271,20 +269,10 @@ def _sup_bounds(u: SpectralField) -> tuple[float, float]:
 
 
 def _cfl_dt(u: SpectralField) -> float:
-    """CFL step from n max|u| + max|grad u| on the grid, with the gradient
-    transformed one row d_j u_i (j = 1..3) at a time; nan for a non-finite
-    state."""
-    umax = c0_norm(u)
-    gmax = 0.0
-    if umax > 0:
-        g = u.grid
-        for ui in u.coeffs:
-            row = np.stack([_dcomp(g, ui, j) for j in range(3)])
-            row = _fft.ifftn(row, axes=(1, 2), norm="forward",
-                             overwrite_x=True)
-            row = _fft.irfft(row, g.n, axis=3, norm="forward")
-            gmax = max(gmax, float(np.abs(row).max()))
-    speed = umax * u.grid.n + gmax
+    """CFL step from n max|u| + max|grad u| on the grid; nan for a
+    non-finite state."""
+    gmax = float(np.abs(gradient_tensor(u)).max())
+    speed = c0_norm(u) * u.grid.n + gmax
     if not np.isfinite(speed):
         return np.nan
     if speed == 0:
@@ -564,7 +552,6 @@ class FlowMap:
 
     def grad(self, i: int) -> np.ndarray:
         """(3, 3, n, n, n) array of d_j Phi_i components."""
-        from .fields import gradient_tensor
         disp = from_grid(self.displacements[i], self.grid, "vector3")
         g = gradient_tensor(disp)
         for a in range(3):
@@ -608,7 +595,6 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     fm = FlowMap(grid, times[0])
     mesh = grid.mesh()
     if n_substeps is None:
-        from .fields import gradient_tensor
         gmax = float(np.abs(gradient_tensor(u_eval(times[0]))).max())
         span = float(np.max(np.diff(times))) if len(times) > 1 else 0.0
         n_substeps = max(1, int(np.ceil(span * max(gmax, 1e-12) / 0.1)))
