@@ -130,10 +130,10 @@ class ModeTable:
     |k_i| must be below n/2: beyond that, k and k - n share a slot.
 
     Scatters take values of shape (ncomp, M), write the partner as well, and
-    so keep the stored spectrum that of a real field.  ``scatter_add`` adds
-    every write to its slot in mode order, one ``np.add.at`` per component,
-    so repeated wavevectors accumulate exactly as one
-    ``set_mode(k, get_mode(k) + v)`` per row would.
+    so keep the stored spectrum that of a real field.  ``write_plan`` splits
+    a weighted sum of fixed values into passes of distinct slots, so that
+    repeated wavevectors accumulate in mode order, exactly as one
+    ``set_mode(k, get_mode(k) + w v)`` per row would.
     """
 
     def __init__(self, k, grid: GridSpec):
@@ -180,11 +180,26 @@ class ModeTable:
         vals = np.take(np.asarray(values, dtype=complex), self._source, axis=1)
         return np.conjugate(vals, out=vals, where=self._conj_write)
 
-    def scatter_add(self, coeffs: np.ndarray, values) -> None:
-        """Add ``values`` at every k, in mode order."""
-        for comp, v in zip(self._flat(coeffs), self._writes(values),
-                           strict=True):
-            np.add.at(comp, self._targets, v)
+    def write_plan(self, values):
+        """Plan for storing sum_m w_m values[:, m], for any real weights w:
+        the flat indices of the distinct slots written, component by
+        component; per pass p the mode of each slot's p-th write, shape
+        (P, S), and its value as stored, shape (P, ncomp, S), 0 past the
+        slot's last write.  Summing w[modes[p]] * vals[p] in pass order into
+        a zeroed array at the indices adds each slot's writes in mode order.
+        """
+        slots, where, count = np.unique(self._targets, return_inverse=True,
+                                        return_counts=True)
+        order = np.argsort(where, kind="stable")     # by slot, in mode order
+        where = where[order]
+        rank = np.arange(order.size) - (np.cumsum(count) - count)[where]
+        modes = np.zeros((count.max(), slots.size), np.int64)
+        vals = np.zeros((count.max(), len(values), slots.size), complex)
+        modes[rank, where] = self._source[order]
+        vals[rank, :, where] = self._writes(values)[:, order].T
+        size = self.grid.n ** 2 * (self.grid.n // 2 + 1)
+        comp = size * np.arange(len(values))[:, None]
+        return (comp + slots).ravel(), modes, vals
 
     def scatter_set(self, coeffs: np.ndarray, values) -> None:
         """Set the coefficients at every k; the slots must be distinct."""

@@ -188,20 +188,33 @@ def gamma_coefficients(R, family: DirectionFamily):
 
 @dataclass
 class MikadoFlow:
-    """One spectral pipe flow: W = xi * phi, V with curl V = W."""
+    """One spectral pipe flow: W = xi * phi, V with curl V = W.
+
+    The mode list is the flow; the dense fields phi, Psi, W and V on ``grid``
+    are scattered from it into fresh arrays on each access.
+    """
 
     xi: np.ndarray
     lam: int
     family_index: int
     shift: np.ndarray
-    W: SpectralField
-    V: SpectralField
-    phi: SpectralField
-    Psi: SpectralField
+    grid: GridSpec
     mode_k: np.ndarray        # (M, 3) integer wavevectors (half list)
     mode_phi: np.ndarray      # (M,) complex coefficients of phi
     mode_psi: np.ndarray      # (M,) complex coefficients of Psi
     sigma: float
+
+    def _field(self, values: np.ndarray) -> SpectralField:
+        rank = "scalar" if len(values) == 1 else "vector3"
+        f = zeros(self.grid, rank, mean_zero=True)
+        ModeTable(self.mode_k, self.grid).scatter_set(f.coeffs, values)
+        return f
+
+    phi = property(lambda self: self._field(self.mode_phi[None]))
+    Psi = property(lambda self: self._field(self.mode_psi[None]))
+    W = property(lambda self: self._field(self.xi[:, None]
+                                          * self.mode_phi[None]))
+    V = property(lambda self: self._field(self._v_hat().T))
 
     def eval_phi(self, points: np.ndarray) -> np.ndarray:
         """Exact evaluation of phi at arbitrary points, shape (3, N)."""
@@ -220,14 +233,9 @@ class MikadoFlow:
         return vals.reshape((3,) + points.shape[1:])
 
     def _v_hat(self) -> np.ndarray:
-        return _v_coefficients(self.mode_k, self.mode_psi, self.xi,
-                               _DENOMINATOR * self.lam)
-
-
-def _v_coefficients(k, psi_c, xi, nl):
-    """(M, 3) coefficients of V = grad Psi x xi / (n_star lambda)^2 at k."""
-    grad = (2j * np.pi) * k * psi_c[:, None]
-    return np.cross(grad, xi[None, :]) / nl**2
+        """(M, 3) coefficients of V = grad Psi x xi / (n_star lambda)^2."""
+        grad = (2j * np.pi) * self.mode_k * self.mode_psi[:, None]
+        return np.cross(grad, self.xi) / (_DENOMINATOR * self.lam) ** 2
 
 
 def _profile_modes(family: DirectionFamily, row: int, lam: int,
@@ -238,23 +246,17 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
     kb = lam * family.frame_b[row]                          # n_star*B integer
     keep = grid.nyquist - grid.n // 8
     mmax = int(keep // min(np.max(np.abs(ka)), np.max(np.abs(kb))) + 1)
-    ks, ms = [], []
-    for m1 in range(-mmax, mmax + 1):
-        for m2 in range(-mmax, mmax + 1):
-            if (m1, m2) <= (0, 0) and (m1, m2) != (0, 0):
-                continue  # keep one of each +-m pair; drop (0,0)
-            if (m1, m2) == (0, 0):
-                continue
-            k = m1 * ka + m2 * kb
-            if np.max(np.abs(k)) > keep:
-                continue
-            ks.append(k)
-            ms.append((m1, m2))
-    if not ks:
+    m = np.arange(-mmax, mmax + 1, dtype=np.int64)
+    ms = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1).reshape(-1, 2)
+    ks = ms[:, :1] * ka + ms[:, 1:] * kb
+    # one of each +-m pair, (m1, m2) > (0, 0), in m1-major order
+    half = (ms[:, 0] > 0) | ((ms[:, 0] == 0) & (ms[:, 1] > 0))
+    live = half & (np.abs(ks).max(axis=1) <= keep)
+    if not live.any():
         raise ValueError(
             f"pipe profile unresolvable: lambda={lam} with n_star="
             f"{family.n_star} leaves no admissible modes on grid n={grid.n}")
-    return np.array(ks, dtype=np.int64), np.array(ms, dtype=np.int64)
+    return ks[live], ms[live]
 
 
 def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
@@ -282,24 +284,11 @@ def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
     phi_hat /= norm
     shift = family.shifts[row]
     phase = np.exp(-2j * np.pi * (kvecs @ shift))
-    phi_c = phi_hat * phase
-    psi_c = psi_hat * phase
-
-    xi_vec = family.directions()[row]
-    table = ModeTable(kvecs, grid)
-    phi_f = zeros(grid, "scalar", mean_zero=True)
-    psi_f = zeros(grid, "scalar", mean_zero=True)
-    W_f = zeros(grid, "vector3", mean_zero=True)
-    V_f = zeros(grid, "vector3", mean_zero=True)
-    table.scatter_set(phi_f.coeffs, phi_c[None])
-    table.scatter_set(psi_f.coeffs, psi_c[None])
-    table.scatter_set(W_f.coeffs, xi_vec[:, None] * phi_c[None])
-    table.scatter_set(V_f.coeffs, _v_coefficients(kvecs, psi_c, xi_vec,
-                                                  family.n_star * lam).T)
-    return MikadoFlow(xi=xi_vec, lam=lam, family_index=family.index,
-                      shift=np.asarray(shift, float), W=W_f, V=V_f,
-                      phi=phi_f, Psi=psi_f, mode_k=kvecs, mode_phi=phi_c,
-                      mode_psi=psi_c, sigma=float(sigma))
+    return MikadoFlow(xi=family.directions()[row], lam=lam,
+                      family_index=family.index,
+                      shift=np.asarray(shift, float), grid=grid, mode_k=kvecs,
+                      mode_phi=phi_hat * phase, mode_psi=psi_hat * phase,
+                      sigma=float(sigma))
 
 
 def build_family_flows(family: DirectionFamily, lam: int, grid: GridSpec,

@@ -6,12 +6,14 @@ eigenvalues c_k = scale * (1+|k|^2)^(-p).  Brownian increments come from
 counter-based Philox streams keyed by (seed, mode index), so paths are
 bit-reproducible regardless of evaluation order.
 
-Mode work goes through ``fields.ModeTable``: a field of B or of its
-mollification is one scatter of all modes into the half-spectrum, and the
-projections <u, e_k> are one gather.  Path norms and the Ito sum of a fixed
-field run over all modes and samples at once; the mollification over all
-modes at once, one matrix product per block of output samples; the Ito sum
-of one field per sample over all modes of a few samples at a time.
+Mode work goes through ``fields.ModeTable``.  Each grid keeps the table's
+``write_plan`` of the fixed stamps, so a field of B or of its mollification,
+whose weights are real, is one gather of the weights, one multiply-add per
+polarization pass in mode order and one store into a zeroed half-spectrum;
+the projections <u, e_k> are one gather.  Path norms and the Ito sum of a
+fixed field run over all modes and samples at once; the mollification over
+all modes at once, one matrix product per block of output samples; the Ito
+sum of one field per sample over all modes of a few samples at a time.
 """
 
 from dataclasses import dataclass, field
@@ -70,22 +72,13 @@ class SpectrumSpec:
             return
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        half = []
-        r = self.k_max
-        for kx in range(-r, r + 1):
-            for ky in range(-r, r + 1):
-                for kz in range(-r, r + 1):
-                    k = (kx, ky, kz)
-                    if k == (0, 0, 0):
-                        continue
-                    if k <= tuple(-v for v in k):
-                        continue  # one representative per +-k pair
-                    if kx * kx + ky * ky + kz * kz > r * r:
-                        continue
-                    half.append(k)
-        half.sort()
-        for k in half:
-            kv = np.array(k, dtype=float)
+        r = np.arange(-self.k_max, self.k_max + 1)
+        ks = np.stack(np.meshgrid(r, r, r, indexing="ij"), -1).reshape(-1, 3)
+        # in sorted order, one representative per +-k pair: the one whose
+        # first nonzero component is positive
+        lead = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+        for kv in ks[(lead > 0) & (np.sum(ks**2, 1) <= self.k_max**2)]:
+            k, kv = tuple(kv.tolist()), kv.astype(float)
             c = self.scale * (1.0 + float(kv @ kv)) ** (-self.p)
             a, b = _frame(kv)
             self.modes.append(NoiseMode(k, 1, c, tuple(a)))
@@ -111,19 +104,14 @@ class SpectrumSpec:
         """Max deviation of the basis Gram matrix from the identity.
 
         The basis fields are single-frequency trig fields; inner products are
-        evaluated exactly from their coefficient stamps.
+        evaluated exactly from their coefficient stamps, and distinct
+        frequencies are exactly orthogonal.
         """
-        worst = 0.0
-        for i, mi in enumerate(self.modes):
-            for j, mj in enumerate(self.modes):
-                if mi.k == mj.k:
-                    wi, wj = mi.stamp(), mj.stamp()
-                    g = 2.0 * np.real(wi @ np.conj(wj))
-                else:
-                    g = 0.0  # distinct frequencies are exactly orthogonal
-                target = 1.0 if i == j else 0.0
-                worst = max(worst, abs(g - target))
-        return worst
+        k = np.array([m.k for m in self.modes])
+        st = np.stack([m.stamp() for m in self.modes])
+        same = np.all(k[:, None] == k[None], axis=2)
+        gram = np.where(same, 2.0 * np.real(st @ np.conj(st).T), 0.0)
+        return float(np.max(np.abs(gram - np.eye(len(k)))))
 
 
 def trace(spec: SpectrumSpec, s: float = 0.0) -> float:
@@ -155,18 +143,24 @@ class NoisePath:
         self._stamps = np.stack([m.stamp() for m in spec.modes])  # (M, 3)
         self._roots = np.sqrt(spec.eigenvalues())
         self._k = np.array([m.k for m in spec.modes], dtype=np.int64)
-        self._tables = {}   # grid.n -> ModeTable of self._k
+        self._grids = {}   # grid.n -> (ModeTable of self._k, its stamp plan)
 
     # -- field assembly --------------------------------------------------
-    def _table(self, grid: GridSpec) -> ModeTable:
-        if grid.n not in self._tables:
-            self._tables[grid.n] = ModeTable(self._k, grid)
-        return self._tables[grid.n]
+    def _plan(self, grid: GridSpec):
+        """The ModeTable on ``grid`` and ``write_plan`` of the stamps."""
+        if grid.n not in self._grids:
+            table = ModeTable(self._k, grid)
+            self._grids[grid.n] = (table, *table.write_plan(self._stamps.T))
+        return self._grids[grid.n]
 
     def _assemble(self, weights: np.ndarray, grid: GridSpec) -> SpectralField:
+        _, slots, modes, stamps = self._plan(grid)
+        terms = weights[modes][:, None] * stamps
+        vals = 0.0 + terms[0]   # from +0, as a zeroed slot: zero sums are +0
+        for t in terms[1:]:     # the passes, in mode order
+            vals += t
         f = zeros(grid, "vector3", mean_zero=True)
-        self._table(grid).scatter_add(f.coeffs,
-                                      (weights[:, None] * self._stamps).T)
+        f.coeffs.reshape(-1)[slots] = vals.ravel()
         return f
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
@@ -175,7 +169,7 @@ class NoisePath:
 
     def project(self, u: SpectralField) -> np.ndarray:
         """All inner products <u, e_k> at once."""
-        cu = self._table(u.grid).gather(u.coeffs)          # (3, M)
+        cu = self._plan(u.grid)[0].gather(u.coeffs)       # (3, M)
         return 2.0 * np.real(np.einsum("cm,mc->m", cu, np.conj(self._stamps)))
 
     # -- path norms (mode space; the basis diagonalizes (I - Lap)) -------
@@ -349,7 +343,7 @@ def ito_integral(u_samples, path: NoisePath, n_steps: int | None = None) -> np.n
         # slots of each sample gathered into one reused buffer.  Where the
         # table stores a mode conjugated, conjugating its stamp instead
         # leaves the real part of each product, and so <u, e_k>, unchanged
-        conj = path._table(u_samples[0].grid).conj[:, None]
+        conj = path._plan(u_samples[0].grid)[0].conj[:, None]
         stamps = np.where(conj, path._stamps, np.conj(path._stamps))
         cu = np.empty((_ITO_CHUNK, 3, path.spec.n_modes), complex)
         steps = np.empty(n)
@@ -357,7 +351,7 @@ def ito_integral(u_samples, path: NoisePath, n_steps: int | None = None) -> np.n
             m = min(_ITO_CHUNK, n - j0)
             for buf, u in zip(cu, u_samples[j0:j0 + m]):
                 np.take(u.coeffs.reshape(len(u.coeffs), -1),
-                        path._table(u.grid).slot, axis=1, out=buf)
+                        path._plan(u.grid)[0].slot, axis=1, out=buf)
             proj = 2.0 * np.real(np.einsum("jcm,mc->jm", cu[:m], stamps))
             steps[j0:j0 + m] = np.einsum("jm,mj->j", proj, db[:, j0:j0 + m])
     return np.concatenate([[0.0], np.cumsum(steps)])

@@ -384,17 +384,24 @@ def _wavevectors(n, count, seed):
 
 class TestModeTable:
     @pytest.mark.parametrize("n", [16, 32])
-    def test_scatter_add_matches_mode_loop(self, n):
+    def test_write_plan_matches_mode_loop(self, n):
         grid = GridSpec(n)
         k = _wavevectors(n, 60, seed=n)
         assert (k[:, 2] < 0).any() and (k[:, 2] == 0).any()
-        vals = np.random.default_rng(1).standard_normal((3, len(k), 2))
+        rng = np.random.default_rng(1)
+        vals = rng.standard_normal((3, len(k), 2))
         vals = vals[..., 0] + 1j * vals[..., 1]
+        w = rng.standard_normal(len(k))
+        slots, modes, plan = ModeTable(k, grid).write_plan(vals)
+        assert len(modes) == 3     # some slot is written three times
+        sums = w[modes[0]] * plan[0]
+        for m, v in zip(modes[1:], plan[1:]):
+            sums += w[m] * v
         f = zeros(grid, "vector3")
-        ModeTable(k, grid).scatter_add(f.coeffs, vals)
+        f.coeffs.reshape(-1)[slots] = sums.ravel()
         ref = zeros(grid, "vector3").coeffs
         for m, km in enumerate(k):
-            _loop_set(ref, km, _loop_get(ref, km) + vals[:, m])
+            _loop_set(ref, km, _loop_get(ref, km) + w[m] * vals[:, m])
         assert np.array_equal(f.coeffs, ref)
         assert f.hermitian_defect() == 0.0
 

@@ -1,18 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cilab import GridSpec
 from cilab.fields import SYM_INDEX, c0_norm, differential, to_grid, zeros
 from cilab.mikado import (
-    CertificationError, build_direction_family, build_family_flows,
-    build_mikado, decomposition_coefficients, gamma_coefficients,
-    second_moment, spanning_second_moment, support_overlap,
-    universal_constants,
+    CertificationError, _profile_modes, build_direction_family,
+    build_family_flows, build_mikado, decomposition_coefficients,
+    gamma_coefficients, second_moment, spanning_second_moment,
+    support_overlap, universal_constants,
 )
 
 FAM0 = build_direction_family(0)
 FAM1 = build_direction_family(1)
 GRID = GridSpec(64)
+
+
+def _profile_modes_loop(family, row, lam, grid):
+    """Reference for ``_profile_modes``: one (m1, m2) at a time, m1-major."""
+    ka = lam * family.n_star * family.frame_a[row]
+    kb = lam * family.frame_b[row]
+    keep = grid.nyquist - grid.n // 8
+    mmax = int(keep // min(np.max(np.abs(ka)), np.max(np.abs(kb))) + 1)
+    ks, ms = [], []
+    for m1 in range(-mmax, mmax + 1):
+        for m2 in range(-mmax, mmax + 1):
+            k = m1 * ka + m2 * kb
+            if (m1, m2) > (0, 0) and np.max(np.abs(k)) <= keep:
+                ks.append(k)
+                ms.append((m1, m2))
+    return np.array(ks, dtype=np.int64), np.array(ms, dtype=np.int64)
 
 
 def random_ball_matrix(rng, radius=0.5):
@@ -268,6 +286,35 @@ class TestMikadoFlow:
                               / nl**2)
         for name, f in ref.items():
             assert np.array_equal(getattr(flow, name).coeffs, f.coeffs), name
+
+    @pytest.mark.parametrize("lam,n", [(1, 64), (2, 64), (3, 64), (2, 32)])
+    def test_profile_modes_match_loop(self, lam, n):
+        for fam in (FAM0, FAM1):
+            for row in range(6):
+                got = _profile_modes(fam, row, lam, GridSpec(n))
+                ref = _profile_modes_loop(fam, row, lam, GridSpec(n))
+                for g, r in zip(got, ref, strict=True):
+                    assert g.dtype == r.dtype and np.array_equal(g, r)
+
+    def test_flows_keep_only_their_modes(self):
+        # four eager dense fields per flow would take about 100 MB here
+        tracemalloc.start()
+        try:
+            flows = build_family_flows(FAM0, 1, GridSpec(64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(flows) == 6 and peak < 5e6
+
+    def test_dense_fields_are_built_on_access(self):
+        flow = build_mikado(2, 2, FAM0, GridSpec(32))
+        first, second = flow.W, flow.W
+        assert first is not second
+        assert np.array_equal(first.coeffs, second.coeffs)
+        assert not np.may_share_memory(first.coeffs, second.coeffs)
+        first.coeffs[:] = 0.0
+        assert np.array_equal(second.coeffs, flow.W.coeffs)
+        assert np.any(second.coeffs != 0)
 
     def test_unresolvable_lambda(self):
         with pytest.raises(ValueError, match="unresolvable"):

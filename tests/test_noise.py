@@ -137,6 +137,33 @@ class TestModeAssembly:
         assert np.array_equal(z.dfield_at(12, GridSpec(32)).coeffs,
                               ref.coeffs)
 
+    def test_field_at_matches_mode_loop_at_n64(self):
+        # the grid of the drift in a 64^3 Euler solve, 256 modes
+        p = sample_path(SpectrumSpec(p=6.0, scale=0.0075, k_max=4), 0.01,
+                        0.2, seed=21)
+        z = MollifiedPath(p, 0.05)
+        roots, g = np.sqrt(p.spec.eigenvalues()), GridSpec(64)
+        for i in (3, p.n_steps):
+            for got, w in ((p.field_at(i, g), p.beta[:, i]),
+                           (z.field_at(i, g), z.beta_z[:, i]),
+                           (z.dfield_at(i, g), z.dbeta_z[:, i])):
+                ref = _assemble_loop(p, roots * w, g)
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("k,pol", [((1, 1, -1), 1), ((1, -1, 0), 2)])
+    def test_single_mode_field_matches_mode_loop(self, k, pol):
+        mode = next(m for m in SPEC.modes
+                    if m.k == k and m.polarization == pol)
+        p = sample_path(SpectrumSpec(modes=[mode]), 0.01, 0.1, seed=22)
+        z = MollifiedPath(p, 0.05)
+        roots = np.sqrt(p.spec.eigenvalues())
+        for got, w in ((p.field_at(7, GRID), p.beta[:, 7]),
+                       (z.field_at(9, GRID), z.beta_z[:, 9]),
+                       (z.dfield_at(9, GRID), z.dbeta_z[:, 9])):
+            ref = _assemble_loop(p, roots * w, GRID)
+            assert np.array_equal(got.coeffs, ref.coeffs)
+            assert np.any(got.coeffs != 0)
+
     def test_project_matches_mode_loop(self):
         p = sample_path(SPEC, 0.02, 0.1, seed=15)
         rng = np.random.default_rng(15)
