@@ -4,7 +4,9 @@ The driving noise is B(t) = sum_k sqrt(c_k) beta_k(t) e_k with finitely many
 retained wavevectors, two divergence-free polarizations per wavevector, and
 eigenvalues c_k = scale * (1+|k|^2)^(-p).  Brownian increments come from
 counter-based Philox streams keyed by (seed, mode index), so paths are
-bit-reproducible regardless of evaluation order.
+bit-reproducible regardless of evaluation order.  A stream depends on its key
+and counter alone (Salmon et al., SC 2011), so one bit generator re-keyed per
+mode draws what a new generator per mode would.
 
 Mode work goes through ``fields.ModeTable``.  Each grid keeps the table's
 ``write_plan`` of the fixed stamps, so a field of B or of its mollification,
@@ -40,27 +42,20 @@ class NoiseMode:
 
     def stamp(self) -> np.ndarray:
         """Coefficient of the basis field at +k (conjugate at -k implied)."""
-        d = np.asarray(self.direction)
-        if self.polarization == 1:
-            return (d / _SQRT2).astype(complex)
-        return -1j * d / _SQRT2
+        return _stamps(self.direction, self.polarization)
 
 
-def _frame(k: np.ndarray):
-    """Two unit vectors orthogonal to k (and to each other)."""
-    khat = k / np.linalg.norm(k)
-    ax = int(np.argmin(np.abs(khat)))
-    e = np.zeros(3)
-    e[ax] = 1.0
-    a = np.cross(khat, e)
-    a /= np.linalg.norm(a)
-    b = np.cross(khat, a)
-    return a, b
+def _stamps(direction, polarization) -> np.ndarray:
+    """``NoiseMode.stamp`` per row, by the same elementwise operations."""
+    d = np.asarray(direction)
+    return np.where(np.asarray(polarization)[..., None] == 1,
+                    (d / _SQRT2).astype(complex), -1j * d / _SQRT2)
 
 
 @dataclass
 class SpectrumSpec:
-    """Finite noise spectrum: |k| <= k_max, c_k = scale*(1+|k|^2)^(-p)."""
+    """Finite noise spectrum: |k| <= k_max, c_k = scale*(1+|k|^2)^(-p).  Its
+    one representation is ``modes``; a new path derives its arrays from it."""
 
     p: float = 6.0
     scale: float = 1.0
@@ -77,14 +72,19 @@ class SpectrumSpec:
         # in sorted order, one representative per +-k pair: the one whose
         # first nonzero component is positive
         lead = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
-        for kv in ks[(lead > 0) & (np.sum(ks**2, 1) <= self.k_max**2)]:
-            k, kv = tuple(kv.tolist()), kv.astype(float)
-            c = self.scale * (1.0 + float(kv @ kv)) ** (-self.p)
-            a, b = _frame(kv)
-            self.modes.append(NoiseMode(k, 1, c, tuple(a)))
-            self.modes.append(NoiseMode(k, 2, c, tuple(b)))
-        if not self.modes:
-            raise ValueError("empty mode list")
+        ks = ks[(lead > 0) & (np.sum(ks**2, 1) <= self.k_max**2)]
+        # two unit vectors a, b orthogonal to each k and to each other; a norm
+        # is sqrt(row @ row), the dot product np.linalg.norm takes of a vector
+        kf = ks.astype(float)
+        khat = kf / np.sqrt(kf[:, None, :] @ kf[:, :, None])[:, 0]
+        a = np.cross(khat, np.eye(3)[np.argmin(np.abs(khat), axis=1)])
+        a /= np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0]
+        b = np.cross(khat, a)
+        for k, k2, da, db in zip(ks.tolist(), np.sum(ks**2, 1).tolist(),
+                                 a.tolist(), b.tolist()):
+            c = self.scale * (1.0 + k2) ** (-self.p)
+            self.modes += [NoiseMode(tuple(k), 1, c, tuple(da)),
+                           NoiseMode(tuple(k), 2, c, tuple(db))]
 
     @property
     def n_modes(self) -> int:
@@ -120,7 +120,11 @@ def trace(spec: SpectrumSpec, s: float = 0.0) -> float:
 
 
 class NoisePath:
-    """Sampled path of B on a uniform time grid, plus mode machinery."""
+    """Sampled path of B on a uniform time grid, plus mode machinery.
+
+    Row m of ``increments`` is sqrt(dt) times the Philox stream keyed by
+    (seed, m).  One bit generator draws every row; re-keyed to (seed, m) with
+    counter 0 and an empty buffer, it is a new ``Philox(key=[seed, m])``."""
 
     def __init__(self, spec: SpectrumSpec, dt: float, horizon: float,
                  seed: int):
@@ -132,15 +136,18 @@ class NoisePath:
         self.n_steps = int(round(horizon / dt))
         self.horizon = self.n_steps * self.dt
         self.times = np.arange(self.n_steps + 1) * self.dt
-        incr = np.empty((spec.n_modes, self.n_steps))
-        root_dt = np.sqrt(self.dt)
-        for m in range(spec.n_modes):
-            gen = np.random.Generator(np.random.Philox(key=[self.seed, m]))
-            incr[m] = gen.standard_normal(self.n_steps) * root_dt
-        self.increments = incr
-        self.beta = np.concatenate(
-            [np.zeros((spec.n_modes, 1)), np.cumsum(incr, axis=1)], axis=1)
-        self._stamps = np.stack([m.stamp() for m in spec.modes])  # (M, 3)
+        self.increments = np.empty((spec.n_modes, self.n_steps))
+        bits = np.random.Philox(key=[self.seed, 0])
+        gen, state = np.random.Generator(bits), bits.state
+        for m, row in enumerate(self.increments):
+            state["state"]["key"][1] = m   # counter 0, empty buffer
+            bits.state = state
+            gen.standard_normal(out=row)
+        self.increments *= np.sqrt(self.dt)
+        self.beta = np.zeros((spec.n_modes, self.n_steps + 1))
+        np.cumsum(self.increments, axis=1, out=self.beta[:, 1:])
+        self._stamps = _stamps([m.direction for m in spec.modes],  # (M, 3)
+                               [m.polarization for m in spec.modes])
         self._roots = np.sqrt(spec.eigenvalues())
         self._k = np.array([m.k for m in spec.modes], dtype=np.int64)
         self._grids = {}   # grid.n -> (ModeTable of self._k, its stamp plan)

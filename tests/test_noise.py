@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,89 @@ class TestSamplePath:
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - c * t) < 3 * se
+
+
+def _spectrum_loop(p, scale, k_max):
+    """Reference spectrum: one frame per wavevector, vector by vector, and
+    the stamp of each mode from its own direction."""
+    out = []
+    for k in itertools.product(range(-k_max, k_max + 1), repeat=3):
+        nonzero = [x for x in k if x != 0]
+        if not nonzero or nonzero[0] < 0 or sum(x * x for x in k) > k_max**2:
+            continue   # k = 0, the -k of a kept pair, or outside the ball
+        kv = np.array(k, dtype=float)
+        khat = kv / np.linalg.norm(kv)
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(khat)))] = 1.0
+        a = np.cross(khat, e)
+        a /= np.linalg.norm(a)
+        b = np.cross(khat, a)
+        c = scale * (1.0 + float(kv @ kv)) ** (-p)
+        out.append((k, c, a, (a / np.sqrt(2.0)).astype(complex)))
+        out.append((k, c, b, -1j * b / np.sqrt(2.0)))
+    return out
+
+
+class TestSpectrumBatch:
+    @pytest.mark.parametrize("p, scale, k_max", [
+        (6.0, 1.0, 1), (6.0, 1.0, 2), (6.0, 1.0, 3), (6.0, 1.0, 4),
+        (6.0, 0.0075, 4)])   # the last is the benchmark spectrum
+    def test_matches_frame_loop(self, p, scale, k_max):
+        modes = SpectrumSpec(p=p, scale=scale, k_max=k_max).modes
+        ref = _spectrum_loop(p, scale, k_max)
+        assert [m.k for m in modes] == [r[0] for r in ref]
+        assert [m.polarization for m in modes] == [1, 2] * (len(ref) // 2)
+        assert np.array_equal([m.c for m in modes], [r[1] for r in ref])
+        assert np.array_equal([m.direction for m in modes],
+                              [r[2] for r in ref])
+        assert np.array_equal([m.stamp() for m in modes], [r[3] for r in ref])
+        path = sample_path(SpectrumSpec(modes=modes), 0.1, 0.2, seed=3)
+        assert np.array_equal(path._stamps, [r[3] for r in ref])
+
+    def test_path_sees_modes_edited_after_construction(self):
+        spec = SpectrumSpec(p=6.0, scale=1.0, k_max=2)
+        first = sample_path(spec, 0.05, 0.5, seed=8)
+        spec.modes[0] = type(spec.modes[0])((0, 2, 1), 2, 0.25,
+                                            spec.modes[0].direction[::-1])
+        del spec.modes[-3:]
+        path = sample_path(spec, 0.05, 0.5, seed=8)
+        assert path.beta.shape[0] == len(spec.modes) == first.beta.shape[0] - 3
+        assert np.array_equal(path._k, [m.k for m in spec.modes])
+        assert np.array_equal(path._roots, np.sqrt([m.c for m in spec.modes]))
+        assert np.array_equal(path._stamps, [m.stamp() for m in spec.modes])
+        assert path._k[0].tolist() == [0, 2, 1] and path._roots[0] == 0.5
+        w = path._roots * path.beta[:, 4]
+        assert np.array_equal(path.field_at(4, GRID).coeffs,
+                              _assemble_loop(path, w, GRID).coeffs)
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize("seed", [5, 2**40 + 17])
+    def test_matches_one_generator_per_mode(self, seed):
+        dt, horizon = 0.01, 0.37
+        path = sample_path(SPEC, dt, horizon, seed)
+        incr = np.array([
+            np.random.Generator(np.random.Philox(key=[seed, m]))
+            .standard_normal(path.n_steps) * np.sqrt(dt)
+            for m in range(SPEC.n_modes)])
+        assert np.array_equal(path.increments, incr)
+        beta = np.concatenate([np.zeros((SPEC.n_modes, 1)),
+                               np.cumsum(incr, axis=1)], axis=1)
+        assert np.array_equal(path.beta, beta)
+
+    def test_row_depends_on_seed_and_mode_only(self):
+        whole = sample_path(SPEC, 0.01, 0.3, seed=12)
+        head = sample_path(SpectrumSpec(modes=SPEC.modes[:5]), 0.01, 0.3,
+                           seed=12)
+        assert np.array_equal(head.increments, whole.increments[:5])
+        assert np.array_equal(head.beta, whole.beta[:5])
+
+    def test_shorter_path_is_a_prefix(self):
+        long = sample_path(SPEC, 1e-3, 1.0, seed=13)
+        short = sample_path(SPEC, 1e-3, 0.5, seed=13)
+        assert (short.n_steps, long.n_steps) == (500, 1000)
+        assert np.array_equal(short.increments, long.increments[:, :500])
+        assert np.array_equal(short.beta, long.beta[:, :501])
 
 
 class TestModeAssembly:
