@@ -20,9 +20,6 @@ from .fields import (
     inverse_divergence,
     band_project,
     mollify_space,
-    dealias,
-    save_field,
-    load_field,
 )
 from .holder import holder_norm, HolderNormReport
 
@@ -36,9 +33,6 @@ __all__ = [
     "inverse_divergence",
     "band_project",
     "mollify_space",
-    "dealias",
-    "save_field",
-    "load_field",
     "holder_norm",
     "HolderNormReport",
 ]

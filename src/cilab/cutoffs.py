@@ -117,12 +117,6 @@ class ChiFamily:
         self.values = vals
         self.dvalues = dvals
 
-    def in_rest_interval(self, t: float) -> bool:
-        """True when t lies in one of the J_i (all transitions are off)."""
-        third = self.tau / 3.0
-        r = np.mod(t, self.tau)
-        return bool(r < third or r > 2 * third)
-
     def window_span(self, i: int, horizon: float):
         """Solve span [anchor, end] for the exact solution of window i."""
         anchor = max((i - 1) * self.tau, 0.0)

@@ -230,9 +230,9 @@ def _advection_rhs(v: SpectralField,
                    z: SpectralField | None) -> SpectralField:
     """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule, as a full field:
     a thin wrapper that hands v's box to one call of the solver's kernel
-    ``_Advection`` and puts the box result into zeros.  The box is the one
-    ``fields.dealias`` keeps (``fields.spectral_tables``).  The result is
-    zero outside the 2/3 box and at the mean, whatever v and z hold there."""
+    ``_Advection`` and puts the box result into zeros.  The box is
+    ``fields.spectral_tables(n).box``.  The result is zero outside the 2/3
+    box and at the mean, whatever v and z hold there."""
     box = spectral_tables(v.grid.n).box
     out = np.zeros_like(v.coeffs)
     c = v.coeffs[box]
@@ -557,15 +557,6 @@ class FlowMap:
         for a in range(3):
             g[a, a] += 1.0
         return g
-
-    def det_grad(self, i: int) -> np.ndarray:
-        return _det_3x3(self.grad(i))
-
-
-def _det_3x3(m: np.ndarray) -> np.ndarray:
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
 
 
 def solve_flow_map(u_eval, times, grid: GridSpec,

@@ -18,7 +18,6 @@ corner modes whose every component is Nyquist.  So Leray projection and
 inverse divergence are exact on the whole stored spectrum.
 """
 
-import struct
 import warnings
 from functools import lru_cache
 from typing import NamedTuple
@@ -254,15 +253,14 @@ class SpectralTables(NamedTuple):
     coefficient array.  ``inv_lap`` is 1/(4 pi^2 |k'|^2), 0 where k' = 0.
 
     The 2/3 rule (Orszag, J. Atmos. Sci. 1971) keeps the box of modes with
-    every |k_i| <= kmax = n // 3: ``mask`` is the box in rfftn layout,
-    ``box`` indexes it in a (ncomp, n, n, n//2+1) array as ``c[box]``, and
-    ``box_deriv`` and ``box_inv_lap`` are ``deriv`` and ``inv_lap`` there.
+    every |k_i| <= kmax = n // 3: ``box`` indexes it in a
+    (ncomp, n, n, n//2+1) array as ``c[box]``, and ``box_deriv`` and
+    ``box_inv_lap`` are ``deriv`` and ``inv_lap`` there.
     """
 
     deriv: tuple
     inv_lap: np.ndarray
     kmax: int
-    mask: np.ndarray
     box: tuple
     box_deriv: tuple
     box_inv_lap: np.ndarray
@@ -283,15 +281,13 @@ def spectral_tables(n: int) -> SpectralTables:
     inv_lap = np.zeros(ksq.shape)
     inv_lap[ksq > 0] = 1.0 / (4.0 * np.pi**2 * ksq[ksq > 0])
     kmax = n // 3  # floor(2/3 * n/2)
-    mask = ((np.abs(k[0]) <= kmax) & (np.abs(k[1]) <= kmax)
-            & (np.abs(k[2]) <= kmax))
     lo_hi = np.r_[0:kmax + 1, n - kmax:n]
     box = (lo_hi[:, None], lo_hi[None, :], slice(0, kmax + 1))
     box_deriv = (deriv[0][lo_hi], deriv[1][:, lo_hi], deriv[2][..., :kmax + 1])
     box_inv_lap = inv_lap[box]
-    for table in (lo_hi, *deriv, inv_lap, mask, *box_deriv, box_inv_lap):
+    for table in (lo_hi, *deriv, inv_lap, *box_deriv, box_inv_lap):
         table.flags.writeable = False
-    return SpectralTables(tuple(deriv), inv_lap, kmax, mask,
+    return SpectralTables(tuple(deriv), inv_lap, kmax,
                           (slice(None),) + box, box_deriv, box_inv_lap)
 
 
@@ -396,7 +392,7 @@ def inverse_divergence(v: SpectralField) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# band projection, mollification, dealiasing
+# band projection and mollification
 # ---------------------------------------------------------------------------
 
 def band_project(f: SpectralField, mode: str, cutoff: float) -> SpectralField:
@@ -451,13 +447,6 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
     return SpectralField(f.grid, f.rank, f.coeffs * mult, f.mean_zero)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all modes with any |k_i| beyond the 2/3 (per-axis) cutoff."""
-    return SpectralField(f.grid, f.rank,
-                         f.coeffs * spectral_tables(f.grid.n).mask,
-                         f.mean_zero)
-
-
 # ---------------------------------------------------------------------------
 # inner products and norms
 # ---------------------------------------------------------------------------
@@ -510,53 +499,3 @@ def outer_sym(a: np.ndarray, b: np.ndarray, traceless: bool = False) -> np.ndarr
         for slot in (0, 3, 5):
             out[slot] = out[slot] - tr
     return out
-
-
-# ---------------------------------------------------------------------------
-# field snapshot files
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"CILABFLD"
-_VERSION = 2
-_RANK_CODE = {"scalar": 0, "vector3": 1, "symtensor3x3": 2}
-_RANK_NAME = {v: k for k, v in _RANK_CODE.items()}
-
-
-def save_field(f: SpectralField, path) -> None:
-    """Write a snapshot: 64-byte header then the rfftn half-spectrum as
-    little-endian complex128, shape (ncomp, n, n, n//2+1) in C order.
-
-    Storing the coefficients, not grid samples, makes save -> load -> save
-    byte-identical.
-    """
-    header = _MAGIC + struct.pack("<IIBB", _VERSION, f.grid.n,
-                                  _RANK_CODE[f.rank], int(f.mean_zero))
-    header += b"\x00" * (64 - len(header))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
-
-
-def load_field(path, grid: GridSpec | None = None) -> SpectralField:
-    """Read a snapshot of format version 2 (half-spectrum) or 1 (float64
-    grid samples, x-fastest within each component)."""
-    with open(path, "rb") as fh:
-        header = fh.read(64)
-        if header[:8] != _MAGIC:
-            raise ValueError("not a field snapshot file")
-        version, n, rank_code, mean_zero = struct.unpack("<IIBB", header[8:18])
-        if version not in (1, 2):
-            raise ValueError(f"unsupported snapshot version {version}")
-        rank = _RANK_NAME[rank_code]
-        ncomp = RANK_COMPONENTS[rank]
-        g = grid if grid is not None else GridSpec(n)
-        if g.n != n:
-            raise ValueError(f"snapshot grid {n} does not match requested {g.n}")
-        if version == 1:
-            raw = np.frombuffer(fh.read(ncomp * n**3 * 8), dtype="<f8")
-            samples = raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1)
-            return from_grid(samples, g, rank, mean_zero=bool(mean_zero))
-        shape = (ncomp, n, n, n // 2 + 1)
-        raw = np.frombuffer(fh.read(int(np.prod(shape)) * 16), dtype="<c16")
-    return SpectralField(g, rank, raw.reshape(shape).astype(complex),
-                         bool(mean_zero))

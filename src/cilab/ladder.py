@@ -25,7 +25,6 @@ class ParameterLadder:
     L: float
     mode: str = "onsager"            # or "cauchy"
     q_max: int = 4
-    M_bar: float = 2500.0            # amplitude bookkeeping constant
     beta_bar: float | None = None    # cauchy: target regularity of the data
     K: float = 1.0                   # cauchy: energy-pumping multiplier
     N_init: float = 1.0              # cauchy: C^beta_bar bound of the data

@@ -100,19 +100,6 @@ class SpectrumSpec:
         """(1 + 4 pi^2 |k|^2)^s per mode: the symbol of (I - Lap)^s."""
         return (1.0 + 4.0 * np.pi**2 * self.k_squared()) ** s
 
-    def orthonormality_defect(self) -> float:
-        """Max deviation of the basis Gram matrix from the identity.
-
-        The basis fields are single-frequency trig fields; inner products are
-        evaluated exactly from their coefficient stamps, and distinct
-        frequencies are exactly orthogonal.
-        """
-        k = np.array([m.k for m in self.modes])
-        st = np.stack([m.stamp() for m in self.modes])
-        same = np.all(k[:, None] == k[None], axis=2)
-        gram = np.where(same, 2.0 * np.real(st @ np.conj(st).T), 0.0)
-        return float(np.max(np.abs(gram - np.eye(len(k)))))
-
 
 def trace(spec: SpectrumSpec, s: float = 0.0) -> float:
     """Tr((I - Lap)^s GG*) = sum_k c_k (1 + 4 pi^2 |k|^2)^s."""
@@ -178,12 +165,6 @@ class NoisePath:
         """All inner products <u, e_k> at once."""
         cu = self._plan(u.grid)[0].gather(u.coeffs)       # (3, M)
         return 2.0 * np.real(np.einsum("cm,mc->m", cu, np.conj(self._stamps)))
-
-    # -- path norms (mode space; the basis diagonalizes (I - Lap)) -------
-    def hs_norm(self, i: int, s: float) -> float:
-        """H^s norm of B(t_i)."""
-        w = self.spec.eigenvalues() * self.beta[:, i] ** 2
-        return float(np.sqrt(np.sum(w * self.spec.sobolev_weight(s))))
 
     def index_of(self, t: float) -> int:
         return int(round(t / self.dt))
@@ -299,7 +280,8 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
     mult = path.spec.sobolev_weight(s)
 
     def hs(rows):
-        """H^s norms of the mode vectors in the rows, as in ``hs_norm``."""
+        """H^s norms sqrt(sum_m c_m b_m^2 (1 + 4 pi^2 |k_m|^2)^s) of the mode
+        vectors b in the rows; the basis diagonalizes (I - Lap)."""
         return np.sqrt(np.sum((w * rows**2) * mult, axis=1))
 
     beta = np.ascontiguousarray(path.beta.T)      # one sample per row

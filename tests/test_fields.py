@@ -1,15 +1,12 @@
-import struct
-
 import numpy as np
 import pytest
 
 from cilab import (
     GridSpec, band_project, differential, from_grid,
-    inverse_divergence, leray_project, load_field, mollify_space, save_field,
-    to_grid,
+    inverse_divergence, leray_project, mollify_space, to_grid,
 )
 from cilab.fields import (
-    SYM_SLOT, SYM_WEIGHT, ModeTable, c0_norm, dealias, divergence_defect,
+    SYM_SLOT, SYM_WEIGHT, ModeTable, c0_norm, divergence_defect,
     inner, l2_norm, mollifier_multiplier, zeros,
 )
 
@@ -307,48 +304,6 @@ class TestMollify:
         kern *= n**3 / kern.sum()
         ref = fft.rfftn(kern).real / n**3
         assert np.array_equal(mollifier_multiplier(GridSpec(n), ell), ref)
-
-
-class TestDealias:
-    def test_keeps_low_band(self):
-        f = random_band_limited(GRID, "scalar", 8, seed=18)
-        g = dealias(f)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
-
-    def test_removes_corner_modes(self):
-        f = zeros(GRID, "scalar")
-        f.set_mode((12, 12, 12), [1.0])
-        assert c0_norm(dealias(f)) == 0.0
-
-
-class TestSnapshot:
-    @pytest.mark.parametrize("rank", ["scalar", "vector3", "symtensor3x3"])
-    def test_file_round_trip_bit_exact(self, rank, tmp_path):
-        f = random_band_limited(GRID, rank, 9, seed=19)
-        p1 = tmp_path / "a.fld"
-        p2 = tmp_path / "b.fld"
-        save_field(f, p1)
-        g = load_field(p1)
-        save_field(g, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert g.rank == rank
-
-    def test_reads_version_1(self, tmp_path):
-        # format 1: header, then float64 grid samples, x fastest
-        f = random_band_limited(GridSpec(8), "vector3", 3, seed=22)
-        samples = to_grid(f)
-        header = b"CILABFLD" + struct.pack("<IIBB", 1, 8, 1, 0)
-        p = tmp_path / "v1.fld"
-        p.write_bytes(header + b"\x00" * (64 - len(header)) + b"".join(
-            np.ascontiguousarray(c.T, dtype="<f8").tobytes() for c in samples))
-        assert np.array_equal(to_grid(load_field(p)), to_grid(from_grid(
-            samples, GridSpec(8), "vector3")))
-
-    def test_rejects_garbage(self, tmp_path):
-        p = tmp_path / "x.fld"
-        p.write_bytes(b"NOTAFILE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_field(p)
 
 
 def _loop_get(coeffs, k):

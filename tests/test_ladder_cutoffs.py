@@ -108,9 +108,11 @@ class TestChi:
         assert self.chi.partition_defect() < 1e-10
 
     def test_one_on_rest_intervals(self):
-        # chi_i == 1 exactly on J_i
+        # chi_i == 1 exactly on J_i: t mod tau outside [tau/3, 2 tau/3]
+        third = self.tau / 3.0
         for k, t in enumerate(self.times):
-            if self.chi.in_rest_interval(t):
+            r = np.mod(t, self.tau)
+            if r < third or r > 2 * third:
                 col = self.chi.values[:, k]
                 assert np.max(col) == 1.0
                 assert np.sum(col > 0) == 1

@@ -9,7 +9,7 @@ from cilab.mikado import (
     CertificationError, _profile_modes, build_direction_family,
     build_family_flows, build_mikado, decomposition_coefficients,
     gamma_coefficients, second_moment, spanning_second_moment,
-    support_overlap, universal_constants,
+    support_overlap,
 )
 
 FAM0 = build_direction_family(0)
@@ -247,9 +247,6 @@ class TestMikadoFlow:
         direct = flow.eval_W(pts)
         gridded = to_grid(flow.W)[:, ::8, ::8, ::8]
         assert np.max(np.abs(direct - gridded)) < 1e-10
-        vals_v = flow.eval_V(pts)
-        grid_v = to_grid(flow.V)[:, ::8, ::8, ::8]
-        assert np.max(np.abs(vals_v - grid_v)) < 1e-10
 
     def test_norm_scaling_across_lambda(self):
         # ||W||_C0 and lam*||V||_C0 are each lambda-independent (the N=0
@@ -337,11 +334,3 @@ class TestMikadoFlow:
         amp = max(c0_norm(f.phi) for f in flows) ** 2
         overlap = support_overlap(flows)
         assert np.isfinite(overlap) and 0.0 < overlap <= amp * (1 + 1e-9)
-
-
-class TestConstants:
-    def test_universal_constants(self):
-        consts = universal_constants(FAM0, FAM1)
-        assert consts["m_bar_min"] > 100.0
-        assert consts["c_lambda"] > 1.0
-        assert np.isfinite(consts["gamma_smoothness_sup"])

@@ -32,6 +32,13 @@ def _project_loop(path, u):
                      for mode in path.spec.modes])
 
 
+def _hs_norm(path, i, s):
+    """H^s norm of B(t_i): the basis diagonalizes (I - Lap)."""
+    mult = (1.0 + 4.0 * np.pi**2 * path.spec.k_squared()) ** s
+    return float(np.sqrt(np.sum(path.spec.eigenvalues() * path.beta[:, i]**2
+                                * mult)))
+
+
 def _running_norm(path, alpha, gamma, kind):
     """Reference for the stopping time: a scalar scan, sample by sample and
     dyadic gap by dyadic gap, of the running maximum of the path norm."""
@@ -40,7 +47,7 @@ def _running_norm(path, alpha, gamma, kind):
     mult = (1.0 + 4.0 * np.pi**2 * path.spec.k_squared()) ** s
     running, out = 0.0, []
     for i in range(path.n_steps + 1):
-        running = max(running, path.hs_norm(i, s))
+        running = max(running, _hs_norm(path, i, s))
         g = 1
         while kind == "holder" and g <= i:
             db = path.beta[:, i] - path.beta[:, i - g]
@@ -64,7 +71,13 @@ def _stopping_scan(path, L, alpha, running):
 
 class TestSpectrum:
     def test_basis_orthonormal(self):
-        assert SPEC.orthonormality_defect() < 1e-10
+        # Gram matrix from the coefficient stamps: single-frequency fields,
+        # so distinct frequencies are exactly orthogonal
+        k = np.array([m.k for m in SPEC.modes])
+        st = np.stack([m.stamp() for m in SPEC.modes])
+        same = np.all(k[:, None] == k[None], axis=2)
+        gram = np.where(same, 2.0 * np.real(st @ np.conj(st).T), 0.0)
+        assert np.max(np.abs(gram - np.eye(len(k)))) < 1e-10
 
     def test_basis_fields_div_free_mean_zero(self):
         path = sample_path(SPEC, 0.1, 0.5, seed=1)
@@ -386,7 +399,7 @@ class TestStoppingTime:
         assert full.triggered_by == "horizon_cap"
         # use a threshold at 90% of the max observed norm
         s = 3.5 + 0.01
-        max_norm = max(p.hs_norm(i, s) for i in range(p.n_steps + 1))
+        max_norm = max(_hs_norm(p, i, s) for i in range(p.n_steps + 1))
         res = stopping_time(p, L=0.9 * max_norm, alpha=0.02, gamma=0.01)
         assert res.triggered_by == "norm_threshold"
         assert 0.0 < res.value < p.horizon
@@ -394,7 +407,7 @@ class TestStoppingTime:
     def test_monotone_in_threshold(self):
         p = sample_path(SPEC, 0.01, 1.0, seed=9)
         s = 3.5 + 0.01
-        max_norm = max(p.hs_norm(i, s) for i in range(p.n_steps + 1))
+        max_norm = max(_hs_norm(p, i, s) for i in range(p.n_steps + 1))
         r1 = stopping_time(p, L=0.5 * max_norm, alpha=0.02, gamma=0.01)
         r2 = stopping_time(p, L=0.9 * max_norm, alpha=0.02, gamma=0.01)
         assert r1.value <= r2.value
