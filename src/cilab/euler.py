@@ -26,6 +26,18 @@ of the per-n ``fields.spectral_tables``, from which every operator of
 ``fields`` reads its multipliers too.  One kernel and its work arrays serve
 every right-hand side of a solve.
 
+A kernel call has three phases, each split into two halves with a join
+after it: the head, per half of the box along y, writes u = v + Z into the
+box blocks and transforms along x; the slab loop runs its x-slabs in two
+contiguous halves; the tail, per half of the box along y, transforms along
+x back to the box and forms -P div there.  On a grid of more than
+``_KERNEL_PART_POINTS`` = 32^3 points (n >= 33) with 2 usable CPUs, the two
+halves of each phase run at once, one on the calling thread and one on a
+worker thread that the solve owns and joins.  Every element goes through
+the same operations on one part or two, so the outputs do not depend on
+the part count.  In alternating batches of calls on a 2-CPU host, one part
+against two: 13.4 -> 9.1 ms per call at n = 48, 29.2 -> 18.0 ms at n = 64.
+
 The two per-step diagnostics only decide an integer and a yes/no, so they
 are first settled from l1 bounds of the stored spectrum (``_sup_bounds``),
 which take no transform.  An output interval gets one RK4 step when
@@ -38,7 +50,8 @@ before, so the step counts and the outputs are those of the exact rules.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -72,6 +85,11 @@ _DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
 # an interpolant call takes at most one part per this many points, so a
 # small call runs on one thread
 _PART_POINTS = 8192
+# the advection kernel takes 2 parts on a grid of more points than this,
+# n >= 33.  Alternating batches of calls on 2 CPUs, one part against two:
+# n = 32 3.5 -> 3.8 ms (two won 4 of 12), n = 36 5.6 -> 4.9 ms (8 of 12),
+# n = 40 7.4 -> 5.6 ms (11 of 12)
+_KERNEL_PART_POINTS = 32 ** 3
 
 
 @dataclass
@@ -96,6 +114,20 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     return min(0.25 / total, horizon)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _part_count(points: int, part_points: int) -> int:
+    """Threads for a job of ``points``: one per ``part_points`` or part of
+    it, and at most the usable CPUs."""
+    return max(1, min(_usable_cpus(), -(-points // part_points)))
+
+
 class _Advection:
     """-P[div((v+z) (x) (v+z))], dealiased by the 2/3 rule, on box arrays.
 
@@ -105,20 +137,36 @@ class _Advection:
     then -K..-1.  Of the drift z, a full field or None, only the box is read.
 
     A call runs in one persistent (5, n, n, K+1) complex work array, the
-    columns k_z <= K of five half-spectra.  Its first 3 components take
-    u = v + z: the 4 box blocks are written, the rows off the box along x
-    are zeroed, and the lines that cross the box are inverse-transformed
-    along x.  Then each x-slab of ``slab`` = max(1, 16384 // n^2) planes,
-    while it is in cache, has its rows off the box along y zeroed and is
-    inverse-transformed along y.  Along z, one product with the c2r matrix
-    of ``_z_matrices`` takes the slab's lines, each as its 2K+2 floats, to
-    their grid values in a persistent buffer; the columns k_z > K, which
-    are 0, are never stored.  The five products are formed there, the r2c
-    matrix takes them straight back into the same planes of the work array,
-    where the velocity is spent, and those planes are forward-transformed
-    along y.  So neither the (3, n, n, n) velocity grid nor the product
-    tensor is built whole.  Forward transforms along x on the box rows bring
-    the products to the box, and -P div is formed on its 4 blocks.
+    columns k_z <= K of five half-spectra, in three phases.  Each phase has
+    two halves, which touch disjoint parts of the arrays, and ends when both
+    have:
+
+    - head, per half of the box along y (grid rows [0, K] and [n-K, n)):
+      the first 3 components take u = v + z in the 2 box blocks of that
+      half, the rows off the box along x are zeroed, and the lines are
+      inverse-transformed along x;
+    - slabs, in two contiguous halves of the x-slabs of ``slab`` =
+      max(1, 16384 // n^2) planes: each slab, while it is in cache, has its
+      rows off the box along y zeroed and is inverse-transformed along y.
+      Along z, one product with the c2r matrix of ``_z_matrices`` takes the
+      slab's lines, each as its 2K+2 floats, to their grid values in the
+      half's buffer; the columns k_z > K, which are 0, are never stored.
+      The five products are formed there, the r2c matrix takes them
+      straight back into the same planes of the work array, where the
+      velocity is spent, and those planes are forward-transformed along y.
+      So neither the (3, n, n, n) velocity grid nor the product tensor is
+      built whole;
+    - tail, per half of the box along y: forward transforms along x bring
+      the products to the box, and -P div is formed on its 2 blocks and
+      projected by ``_leray`` on that half's columns.
+
+    ``parts`` is 2 when at least 2 CPUs are usable and the grid has more
+    than ``_KERNEL_PART_POINTS`` points, else 1.  With 2 parts the second
+    half of each phase runs on the thread of ``worker``, at the same time as
+    the first; a call outside that block opens it for itself.  With 1 part
+    the halves run in turn.  Each part has its own slab buffers, the leading
+    axis of ``_grid`` and ``_prod``.  Every element goes through the same
+    operations either way, so the result does not depend on ``parts``.
 
     The five products are those of T = u (x) u - u_z^2 Id:
     u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y, u_x u_z and u_y u_z.  The dropped
@@ -134,69 +182,117 @@ class _Advection:
         K = self.tables.kmax
         self.shape = (3, 2 * K + 1, 2 * K + 1, K + 1)
         self.slab = min(n, max(1, _SLAB_POINTS // (n * n)))
+        # a phase has two halves, so 2 parts at most
+        self.parts = min(2, _part_count(n ** 3, _KERNEL_PART_POINTS))
+        starts = range(0, n, self.slab)
+        cut = -(-len(starts) // 2)
+        self._slab_starts = (starts[:cut], starts[cut:])   # per x-half
         self.work = np.zeros((5, n, n, K + 1), dtype=complex)
         # the work array's (x, y) lines as 2K+2 floats, re and im interleaved
         self._lines = self.work.view(float).reshape(5, n * n, 2 * K + 2)
-        self._grid = np.empty((3, self.slab * n, n))
-        self._prod = np.empty((5, self.slab * n, n))
+        # the slab buffers of each part
+        self._grid = np.empty((self.parts, 3, self.slab * n, n))
+        self._prod = np.empty((self.parts, 5, self.slab * n, n))
         self._c2r, self._r2c = _z_matrices(n, K + 1)
+        self._pool = None   # the worker of the second part, inside ``worker``
+
+    @contextmanager
+    def worker(self):
+        """A block inside which every call runs its second part on one
+        worker thread; the thread is joined when the block ends."""
+        if self.parts == 1:
+            yield
+            return
+        with ThreadPoolExecutor(max_workers=1) as self._pool:
+            try:
+                yield
+            finally:
+                self._pool = None
+
+    def _run(self, phase) -> None:
+        """The halves phase(0) and phase(1): at once, the second on the
+        worker, when the kernel has two parts, else in turn.  Both have
+        ended when this returns or raises, and an error of either half is
+        raised here."""
+        if self.parts == 1:
+            phase(0)
+            phase(1)
+            return
+        other = self._pool.submit(phase, 1)
+        try:
+            phase(0)
+        finally:
+            wait((other,))
+        other.result()
 
     def __call__(self, v: np.ndarray, z: SpectralField | None,
                  out: np.ndarray) -> np.ndarray:
         """The right-hand side at the box array v under the drift z, written
         into the box array ``out`` and returned; ``out`` may be v."""
-        tab, n = self.tables, self.grid.n
-        m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
         if z is not None and (z.grid != self.grid or z.rank != "vector3"):
             raise ValueError("drift lives on a different grid or rank")
+        if self.parts > 1 and self._pool is None:
+            with self.worker():
+                return self(v, z, out)
+        tab, n = self.tables, self.grid.n
+        m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
         # (box rows, grid rows) of the two halves of the box along x or y
         halves = ((slice(0, m), slice(0, m)), (slice(m, None), slice(hi, n)))
         work = self.work
         u = work[:3]
-        # the rows that no box block covers: those off the box along x here,
-        # those off it along y slab by slab below
-        u[:, m:hi, :m] = 0.0
-        u[:, m:hi, hi:] = 0.0
-        for bx, gx in halves:
-            for by, gy in halves:
+        dx, dy, dz = tab.box_deriv
+
+        def head(h):
+            by, gy = halves[h]
+            # the rows that no box block covers: those off the box along x
+            # here, those off it along y slab by slab
+            u[:, m:hi, gy] = 0.0
+            for bx, gx in halves:
                 if z is None:
                     u[:, gx, gy] = v[:, bx, by]
                 else:
                     np.add(v[:, bx, by], z.coeffs[:, gx, gy, :m],
                            out=u[:, gx, gy])
-        for lines in (u[:, :, :m], u[:, :, hi:]):
-            _transform_lines(_fft.ifft, lines, 1)
-        for s in range(0, n, self.slab):
-            e = min(s + self.slab, n)
-            u[:, s:e, m:hi] = 0.0
-            _transform_lines(_fft.ifft, u[:, s:e], 2)
-            lines = self._lines[:, s * n:e * n]
-            ux, uy, uz = np.matmul(lines[:3], self._c2r,
-                                   out=self._grid[:, :(e - s) * n])
-            p = self._prod[:, :(e - s) * n]
-            np.multiply(ux, uy, out=p[2])
-            np.multiply(ux, uz, out=p[3])
-            np.multiply(uy, uz, out=p[4])
-            uz *= uz
-            np.multiply(ux, ux, out=p[0])
-            p[0] -= uz
-            np.multiply(uy, uy, out=p[1])
-            p[1] -= uz
-            np.matmul(p, self._r2c, out=lines)
-            _transform_lines(_fft.fft, work[:, s:e], 2)
-        for lines in (work[:, :, :m], work[:, :, hi:]):
-            _transform_lines(_fft.fft, lines, 1)
-        dx, dy, dz = tab.box_deriv
-        for bx, gx in halves:
-            for by, gy in halves:
+            _transform_lines(_fft.ifft, u[:, :, gy], 1)
+
+        def slabs(h):
+            # one part runs both halves in its buffers
+            grid, prod = self._grid[h % self.parts], self._prod[h % self.parts]
+            for s in self._slab_starts[h]:
+                e = min(s + self.slab, n)
+                u[:, s:e, m:hi] = 0.0
+                _transform_lines(_fft.ifft, u[:, s:e], 2)
+                lines = self._lines[:, s * n:e * n]
+                ux, uy, uz = np.matmul(lines[:3], self._c2r,
+                                       out=grid[:, :(e - s) * n])
+                p = prod[:, :(e - s) * n]
+                np.multiply(ux, uy, out=p[2])
+                np.multiply(ux, uz, out=p[3])
+                np.multiply(uy, uz, out=p[4])
+                uz *= uz
+                np.multiply(ux, ux, out=p[0])
+                p[0] -= uz
+                np.multiply(uy, uy, out=p[1])
+                p[1] -= uz
+                np.matmul(p, self._r2c, out=lines)
+                _transform_lines(_fft.fft, work[:, s:e], 2)
+
+        def tail(h):
+            by, gy = halves[h]
+            _transform_lines(_fft.fft, work[:, :, gy], 1)
+            for bx, gx in halves:
                 t, o = work[:, gx, gy], out[:, bx, by]
                 d = (dx[bx], dy[:, by], dz)
                 for i, ((j, slot), *rest) in enumerate(_DIV_TERMS):
                     np.multiply(d[j], t[slot], out=o[i])
                     for j, slot in rest:
                         o[i] += d[j] * t[slot]
-        _leray(out, tab.box_deriv, tab.box_inv_lap)
-        np.negative(out, out=out)
+            o = out[:, :, by]
+            _leray(o, (dx, dy[:, by], dz), tab.box_inv_lap[:, by])
+            np.negative(o, out=o)
+
+        for phase in (head, slabs, tail):
+            self._run(phase)
         return out
 
 
@@ -284,7 +380,8 @@ class _RK4:
     """Classical RK4 steps of the drifted system on one grid, on box arrays.
 
     The current k and the stage array are reused by every step; each step
-    returns a new box array.
+    returns a new box array.  The drift of the last time asked for is kept:
+    k4's time t + dt is the next step's k1 time, and an output time's.
     """
 
     def __init__(self, grid: GridSpec, z_eval):
@@ -292,9 +389,17 @@ class _RK4:
         self.rhs = _Advection(grid)
         self.k = np.empty(self.rhs.shape, dtype=complex)
         self._u = np.empty_like(self.k)
+        self._last = None   # (t, z_eval(t)) of the last drift evaluated
 
-    def _z(self, t):
-        return self.z_eval(t) if self.z_eval else None
+    def drift(self, t: float) -> SpectralField | None:
+        """z_eval(t), evaluated again only when t is not exactly the last
+        time asked for; None without a drift."""
+        if self.z_eval is None:
+            return None
+        if self._last is None or self._last[0] != t:
+            self._last = None   # one drift field alive at a time
+            self._last = (t, self.z_eval(t))
+        return self._last[1]
 
     def _stage(self, v: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
         """v + c k, in the stage array."""
@@ -304,16 +409,16 @@ class _RK4:
 
     def first_k(self, v: np.ndarray, t: float) -> np.ndarray:
         """k1 at (v, t) in its own array, for steps that share it."""
-        return self.rhs(v, self._z(t), np.empty_like(self.k))
+        return self.rhs(v, self.drift(t), np.empty_like(self.k))
 
     def step(self, v: np.ndarray, t: float, dt: float,
              k1: np.ndarray | None = None) -> np.ndarray:
         """v(t + dt) from v(t); ``k1`` is reused if given."""
         k = self.k
         if k1 is None:
-            k1 = self.rhs(v, self._z(t), k)
+            k1 = self.rhs(v, self.drift(t), k)
         new = k1.copy()   # k1 + 2 k2 + 2 k3 + k4, then v(t + dt)
-        zm = self._z(t + 0.5 * dt)
+        zm = self.drift(t + 0.5 * dt)
         self.rhs(self._stage(v, k1, 0.5 * dt), zm, k)          # k2
         stage = self._stage(v, k, 0.5 * dt)
         k *= 2.0
@@ -323,7 +428,7 @@ class _RK4:
         stage = self._stage(v, k, dt)
         k *= 2.0
         new += k
-        self.rhs(stage, self._z(t + dt), k)                     # k4
+        self.rhs(stage, self.drift(t + dt), k)                  # k4
         new += k
         new *= dt / 6.0
         new += v
@@ -371,55 +476,56 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     fields = [v0]
     n_steps = 0
     trunc = 0.0
-    u = v0 if z_eval is None else v0 + z_eval(t0)
+    u = v0 if z_eval is None else v0 + rk4.drift(t0)
     energies = [inner(u, u)]
     cfl_exact = 0
     first = True
-    for a, b in zip(out_times[:-1], out_times[1:]):
-        span = b - a
-        # u = v + z(a) is the field whose energy was taken at a
-        u_bound, g_bound = _sup_bounds(u)
-        if span * (n * u_bound + g_bound) <= _CFL_FACTOR:
-            n_sub = 1
-        else:
-            cfl_exact += 1
-            dt_max = _cfl_dt(u)
-            if np.isnan(dt_max):
-                raise RuntimeError("non-finite state or drift at step "
-                                   f"{n_steps} (t={a:.4f})")
-            n_sub = max(1, int(np.ceil(span / dt_max)))
-        del u   # not kept alive through the steps
-        dt = span / n_sub
-        t = a
-        for _ in range(n_sub):
-            if first:
-                # the coarse step and the first half step share k1
-                k1 = rk4.first_k(w, t)
-                coarse = rk4.step(w, t, dt, k1)
-                half = rk4.step(w, t, dt / 2, k1)
-                del k1
-                w = rk4.step(half, t + dt / 2, dt / 2)
-                diff = np.zeros_like(v0.coeffs)
-                diff[box] = coarse - w
-                trunc = c0_norm(SpectralField(grid, "vector3", diff)) / dt
-                del diff, coarse, half   # trunc is per unit time
-                first = False
+    with rk4.rhs.worker():   # joined before the solve returns or raises
+        for a, b in zip(out_times[:-1], out_times[1:]):
+            span = b - a
+            # u = v + z(a) is the field whose energy was taken at a
+            u_bound, g_bound = _sup_bounds(u)
+            if span * (n * u_bound + g_bound) <= _CFL_FACTOR:
+                n_sub = 1
             else:
-                w = rk4.step(w, t, dt)
-            t += dt
-            n_steps += 1
-            box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
-            size = float((rest + box_sums).max()) * _BOUND_SLACK
-            if not size <= cfg.blowup_guard:   # the bound cannot settle it
-                size = c0_norm(SpectralField(grid, "vector3", full(w)))
-            if not size <= cfg.blowup_guard:   # also catches nan
-                what = ("field magnitude blow-up" if np.isfinite(size)
-                        else "non-finite state or drift")
-                raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
-        v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
-        fields.append(v)
-        u = v if z_eval is None else v + z_eval(b)
-        energies.append(inner(u, u))
+                cfl_exact += 1
+                dt_max = _cfl_dt(u)
+                if np.isnan(dt_max):
+                    raise RuntimeError("non-finite state or drift at step "
+                                       f"{n_steps} (t={a:.4f})")
+                n_sub = max(1, int(np.ceil(span / dt_max)))
+            del u   # not kept alive through the steps
+            dt = span / n_sub
+            t = a
+            for _ in range(n_sub):
+                if first:
+                    # the coarse step and the first half step share k1
+                    k1 = rk4.first_k(w, t)
+                    coarse = rk4.step(w, t, dt, k1)
+                    half = rk4.step(w, t, dt / 2, k1)
+                    del k1
+                    w = rk4.step(half, t + dt / 2, dt / 2)
+                    diff = np.zeros_like(v0.coeffs)
+                    diff[box] = coarse - w
+                    trunc = c0_norm(SpectralField(grid, "vector3", diff)) / dt
+                    del diff, coarse, half   # trunc is per unit time
+                    first = False
+                else:
+                    w = rk4.step(w, t, dt)
+                t += dt
+                n_steps += 1
+                box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
+                size = float((rest + box_sums).max()) * _BOUND_SLACK
+                if not size <= cfg.blowup_guard:   # the bound cannot settle it
+                    size = c0_norm(SpectralField(grid, "vector3", full(w)))
+                if not size <= cfg.blowup_guard:   # also catches nan
+                    what = ("field magnitude blow-up" if np.isfinite(size)
+                            else "non-finite state or drift")
+                    raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
+            v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
+            fields.append(v)
+            u = v if z_eval is None else v + rk4.drift(b)
+            energies.append(inner(u, u))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),
             "energy": np.array(energies), "cfl_exact": cfl_exact}
     return fields, diag
@@ -484,7 +590,7 @@ class SpectralInterpolant:
         x = (points.reshape(3, -1) % 1.0) * self.nf
         m = x.shape[1]
         out = np.empty((self.spline.shape[0], m))
-        k = max(1, min(_usable_cpus(), -(-m // _PART_POINTS)))
+        k = _part_count(m, _PART_POINTS)
 
         def evaluate(part):
             for comp, coef in zip(out, self.spline):
@@ -497,14 +603,6 @@ class SpectralInterpolant:
             # reading every result re-raises an error of any part here
             list(pool.map(evaluate, parts))
         return out.reshape((self.spline.shape[0],) + shape)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all CPUs where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _spline_symbol(degree: int, freq: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -139,7 +141,6 @@ class TestInterpolantParts:
     @pytest.mark.parametrize("m", [1, 8191, 8193, 3 * 8192 + 1])
     @pytest.mark.parametrize("order", [None, 6])
     def test_matches_one_thread_loop(self, monkeypatch, m, order):
-        import threading
         from scipy import ndimage
         monkeypatch.setattr(euler, "_usable_cpus", lambda: 4)
         interp = SpectralInterpolant(smooth_div_free(GridSpec(16), 4, seed=9))
@@ -357,9 +358,12 @@ class TestBoxState:
         for f, t, e in zip(fields, times, diag["energy"]):
             u = f + (1 + 10 * t) * z
             assert e == inner(u, u)
-        # one call per output time for the energy and the next CFL bound,
-        # 8 for the step-doubled first step, 3 for every later step
-        assert len(calls) == len(times) + 8 + 3 * (len(times) - 2)
+        # one call at t0, for the energy, the first CFL bound and k1; 6 more
+        # for the step-doubled first step; 2 for every later step (k2 and
+        # k3 share one, k4's serves the energy and the next step's k1)
+        assert len(calls) == 1 + 6 + 2 * (len(times) - 2)
+        # the drift is evaluated again only at a new time
+        assert all(s != t for s, t in zip(calls, calls[1:]))
 
     def test_guard_sees_the_modes_outside_the_box(self):
         # the box part stays 0 (no drift, and the kernel reads only the box),
@@ -446,6 +450,97 @@ class TestWorkArrays:
             arr.fill(np.nan)
         assert np.array_equal(kernel(v, None, np.empty_like(v)),
                               euler._Advection(g)(v, None, np.empty_like(v)))
+
+
+class TestKernelParts:
+    """The kernel's two parts, each half of the box on its own thread,
+    against one part: 1, 2 and 4 usable CPUs give 1, 2 and 2 parts at
+    n = 48 and 64."""
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(euler, "_usable_cpus", lambda: cpus)
+
+    # at n = 48 the 7 slabs split 4 and 3, and the last slab has 6 planes
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("drift", [False, True])
+    def test_part_counts_agree(self, monkeypatch, n, drift):
+        g = GridSpec(n)
+        v = _white(g, seed=n)
+        z = _white(g, seed=n + 1, amp=0.3) if drift else None
+        v0 = smooth_div_free(g, 4, seed=n + 2, amp=1.0)
+        zs = smooth_div_free(g, 2, seed=n + 3, amp=0.3)
+        z_eval = (lambda t: (1 + 10 * t) * zs) if drift else None
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # the parts interleave finely
+        try:
+            for cpus in (1, 2, 4):
+                self._cpus(monkeypatch, cpus)
+                assert euler._Advection(g).parts == min(cpus, 2)
+                threads = threading.active_count()
+                rhs = _advection_rhs(v, z)
+                fields, diag = solve_euler_with_drift(v0, z_eval, 0.0,
+                                                      [0.0, 5e-4, 1e-3])
+                # the call and the solve join their workers
+                assert threading.active_count() == threads
+                runs.append((rhs, fields, diag))
+        finally:
+            sys.setswitchinterval(interval)
+        (rhs, fields, diag), *others = runs
+        assert diag["steps"] == 2
+        for other_rhs, other_fields, other_diag in others:
+            assert np.array_equal(other_rhs.coeffs, rhs.coeffs)
+            assert all(np.array_equal(f.coeffs, h.coeffs)
+                       for f, h in zip(fields, other_fields))
+            assert np.array_equal(other_diag["energy"], diag["energy"])
+            assert (other_diag["truncation_per_time"]
+                    == diag["truncation_per_time"])
+
+    def test_nan_drift_names_the_step(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        g = GridSpec(48)
+        v0 = smooth_div_free(g, 3, seed=27, amp=1.0)
+        z = smooth_div_free(g, 2, seed=28, amp=0.2)
+        bad = z.copy()
+        bad.coeffs[0, 1, 0, 0] = np.nan
+        threads = threading.active_count()
+        # only the RK4 stages from t = 2.5e-4 on see it; the guard rejects
+        # the non-finite state after the first step
+        with pytest.raises(RuntimeError, match=r"non-finite state or drift "
+                                               r"at step 1 \(t=0\.0005\)"):
+            solve_euler_with_drift(v0, lambda t: bad if t >= 2.5e-4 else z,
+                                   0.0, [0.0, 5e-4, 1e-3])
+        assert threading.active_count() == threads
+
+    def test_drift_on_another_grid(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        g = GridSpec(48)
+        v0 = smooth_div_free(g, 3, seed=29, amp=1.0)
+        z = smooth_div_free(g, 2, seed=30, amp=0.2)
+        other = smooth_div_free(GridSpec(16), 2, seed=30, amp=0.2)
+        threads = threading.active_count()
+        # the right grid at t0, for the energy; the kernel's own check
+        # meets the other one at the first stage after t0
+        with pytest.raises(ValueError, match="drift lives on a different"):
+            solve_euler_with_drift(v0, lambda t: other if t > 0 else z,
+                                   0.0, [0.0, 5e-4])
+        assert threading.active_count() == threads
+
+    def test_error_in_the_worker_part_surfaces(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        transform = euler._transform_lines
+
+        def failing(fft, lines, axis):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("in the worker's part")
+            transform(fft, lines, axis)
+
+        monkeypatch.setattr(euler, "_transform_lines", failing)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker's part"):
+            _advection_rhs(_white(GridSpec(48), seed=31), None)
+        assert threading.active_count() == threads
 
 
 def _arbitrary(grid, seed):
