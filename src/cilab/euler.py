@@ -31,12 +31,15 @@ after it: the head, per half of the box along y, writes u = v + Z into the
 box blocks and transforms along x; the slab loop runs its x-slabs in two
 contiguous halves; the tail, per half of the box along y, transforms along
 x back to the box and forms -P div there.  On a grid of more than
-``_KERNEL_PART_POINTS`` = 32^3 points (n >= 33) with 2 usable CPUs, the two
-halves of each phase run at once, one on the calling thread and one on a
+``grids._GRID_PART_POINTS`` = 32^3 points (n >= 33) with 2 usable CPUs, the
+two halves of each phase run at once, one on the calling thread and one on a
 worker thread that the solve owns and joins.  Every element goes through
 the same operations on one part or two, so the outputs do not depend on
 the part count.  In alternating batches of calls on a 2-CPU host, one part
 against two: 13.4 -> 9.1 ms per call at n = 48, 29.2 -> 18.0 ms at n = 64.
+The same rule, ``grids._grid_parts``, sets the workers of the grid
+transforms of ``fields`` that the CFL rule, the flow map and the
+interpolant builds run.
 
 The two per-step diagnostics only decide an integer and a yes/no, so they
 are first settled from l1 bounds of the stored spectrum (``_sup_bounds``),
@@ -49,7 +52,6 @@ bound, or nan or inf) do the grid transforms run, and then they decide as
 before, so the step counts and the outputs are those of the exact rules.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,10 +61,10 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SpectralField, _leray, c0_norm, differential, from_grid, gradient_tensor,
-    inner, leray_project, spectral_tables,
+    SpectralField, _inverse_transform, _leray, _sup, c0_norm, differential,
+    from_grid, gradient_tensor, inner, leray_project, spectral_tables,
 )
-from .grids import GridSpec
+from .grids import GridSpec, _grid_parts, _part_count, _usable_cpus
 from .holder import holder_norm
 
 # bound on dt * (n |u|_0 + |grad u|_0) per RK4 step.  The count of an
@@ -85,11 +87,6 @@ _DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
 # an interpolant call takes at most one part per this many points, so a
 # small call runs on one thread
 _PART_POINTS = 8192
-# the advection kernel takes 2 parts on a grid of more points than this,
-# n >= 33.  Alternating batches of calls on 2 CPUs, one part against two:
-# n = 32 3.5 -> 3.8 ms (two won 4 of 12), n = 36 5.6 -> 4.9 ms (8 of 12),
-# n = 40 7.4 -> 5.6 ms (11 of 12)
-_KERNEL_PART_POINTS = 32 ** 3
 
 
 @dataclass
@@ -112,20 +109,6 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     if total <= 0:
         return horizon
     return min(0.25 / total, horizon)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all CPUs where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _part_count(points: int, part_points: int) -> int:
-    """Threads for a job of ``points``: one per ``part_points`` or part of
-    it, and at most the usable CPUs."""
-    return max(1, min(_usable_cpus(), -(-points // part_points)))
 
 
 class _Advection:
@@ -160,13 +143,14 @@ class _Advection:
       the products to the box, and -P div is formed on its 2 blocks and
       projected by ``_leray`` on that half's columns.
 
-    ``parts`` is 2 when at least 2 CPUs are usable and the grid has more
-    than ``_KERNEL_PART_POINTS`` points, else 1.  With 2 parts the second
-    half of each phase runs on the thread of ``worker``, at the same time as
-    the first; a call outside that block opens it for itself.  With 1 part
-    the halves run in turn.  Each part has its own slab buffers, the leading
-    axis of ``_grid`` and ``_prod``.  Every element goes through the same
-    operations either way, so the result does not depend on ``parts``.
+    ``parts`` is ``grids._grid_parts`` of the grid: 2 when at least 2 CPUs
+    are usable and the grid has more than 32^3 points, else 1.  With 2 parts
+    the second half of each phase runs on the thread of ``worker``, at the
+    same time as the first; a call outside that block opens it for itself.
+    With 1 part the halves run in turn.  Each part has its own slab buffers,
+    the leading axis of ``_grid`` and ``_prod``.  Every element goes through
+    the same operations either way, so the result does not depend on
+    ``parts``.
 
     The five products are those of T = u (x) u - u_z^2 Id:
     u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y, u_x u_z and u_y u_z.  The dropped
@@ -182,8 +166,8 @@ class _Advection:
         K = self.tables.kmax
         self.shape = (3, 2 * K + 1, 2 * K + 1, K + 1)
         self.slab = min(n, max(1, _SLAB_POINTS // (n * n)))
-        # a phase has two halves, so 2 parts at most
-        self.parts = min(2, _part_count(n ** 3, _KERNEL_PART_POINTS))
+        # a phase has two halves, and the rule gives 2 parts at most
+        self.parts = _grid_parts(n ** 3, _usable_cpus())
         starts = range(0, n, self.slab)
         cut = -(-len(starts) // 2)
         self._slab_starts = (starts[:cut], starts[cut:])   # per x-half
@@ -367,7 +351,7 @@ def _sup_bounds(u: SpectralField) -> tuple[float, float]:
 def _cfl_dt(u: SpectralField) -> float:
     """CFL step from n max|u| + max|grad u| on the grid; nan for a
     non-finite state."""
-    gmax = float(np.abs(gradient_tensor(u)).max())
+    gmax = _sup(gradient_tensor(u))
     speed = c0_norm(u) * u.grid.n + gmax
     if not np.isfinite(speed):
         return np.nan
@@ -545,7 +529,10 @@ class SpectralInterpolant:
     the fine nodes and band-limited fields to ~(k_max / (pad_factor*n))^order.
     The prefilter is a Fourier multiplier: along each axis the copied modes
     are divided by the symbol of the sampled spline, so one inverse
-    transform gives the coefficients.
+    transform of all components, ``fields._inverse_transform`` on the
+    padded grid, gives the coefficients; on 2 usable CPUs it runs on 2
+    workers when the padded grid has more than 32^3 points, with the same
+    coefficients as on one.
 
     A call splits its points into min(usable CPUs, ceil(points /
     ``_PART_POINTS``)) contiguous parts and evaluates them on the threads of
@@ -576,8 +563,7 @@ class SpectralInterpolant:
         big[np.ix_(range(ncomp), dst, dst, range(h))] = (
             c[np.ix_(range(ncomp), src, src, range(h))]
             * (inv[:, None, None] * inv[None, :, None] * inv[None, None, :h]))
-        self.spline = _fft.irfftn(big, s=(self.nf,) * 3, axes=(1, 2, 3),
-                                  norm="forward")
+        self.spline = _inverse_transform(big)
 
     def __call__(self, points: np.ndarray, order: int | None = None) -> np.ndarray:
         """Values at points of shape (3, ...), as (ncomp, ...); ``order``, if
@@ -590,7 +576,7 @@ class SpectralInterpolant:
         x = (points.reshape(3, -1) % 1.0) * self.nf
         m = x.shape[1]
         out = np.empty((self.spline.shape[0], m))
-        k = _part_count(m, _PART_POINTS)
+        k = _part_count(m, _PART_POINTS, _usable_cpus())
 
         def evaluate(part):
             for comp, coef in zip(out, self.spline):
@@ -684,7 +670,7 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     fm = FlowMap(grid, times[0])
     mesh = grid.mesh()
     if n_substeps is None:
-        gmax = float(np.abs(gradient_tensor(u_eval(times[0]))).max())
+        gmax = _sup(gradient_tensor(u_eval(times[0])))
         span = float(np.max(np.diff(times))) if len(times) > 1 else 0.0
         n_substeps = max(1, int(np.ceil(span * max(gmax, 1e-12) / 0.1)))
 

@@ -1,5 +1,7 @@
-"""Uniform grids on the periodic unit box [0,1)^3."""
+"""Uniform grids on the periodic unit box [0,1)^3, and the rule that splits
+a job on a grid over the usable CPUs."""
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,3 +59,30 @@ def _wavenumbers(n: int):
 def _k_squared(n: int):
     kx, ky, kz = _wavenumbers(n)
     return kx * kx + ky * ky + kz * kz
+
+
+# a whole-grid job takes 2 parts on a grid of more points than this,
+# n >= 33.  Alternating batches of advection-kernel calls on 2 CPUs, one part
+# against two: n = 32 3.5 -> 3.8 ms (two won 4 of 12), n = 36 5.6 -> 4.9 ms
+# (8 of 12), n = 40 7.4 -> 5.6 ms (11 of 12)
+_GRID_PART_POINTS = 32 ** 3
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _part_count(points: int, part_points: int, cpus: int) -> int:
+    """Threads for a job of ``points``: one per ``part_points`` or part of
+    it, and at most ``cpus``."""
+    return max(1, min(cpus, -(-points // part_points)))
+
+
+def _grid_parts(points: int, cpus: int) -> int:
+    """Parts of a whole-grid job of ``points``: 2 on a grid of more than
+    ``_GRID_PART_POINTS`` points with at least 2 of ``cpus``, else 1."""
+    return min(2, _part_count(points, _GRID_PART_POINTS, cpus))

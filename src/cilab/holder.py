@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import fft as _fft
 
-from .fields import SpectralField, _dcomp
+from .fields import SpectralField, _inverse_transform, _sup, spectral_tables
 
 
 @dataclass
@@ -46,17 +45,18 @@ class HolderNormReport:
 
 def _derivative_levels(f: SpectralField, up_to: int):
     """Grid samples of all derivatives D^alpha f grouped by |alpha|, with the
-    multipliers of ``fields.differential``."""
-    g = f.grid
+    multipliers of ``fields.differential``: per level, one array of shape
+    (multi-indices, ncomp, n, n, n) from one batched inverse transform."""
+    deriv = spectral_tables(f.grid.n).deriv
     out = {}
     for level in range(up_to + 1):
-        out[level] = []
-        for alpha in combinations_with_replacement(range(3), level):
-            c = f.coeffs
+        alphas = list(combinations_with_replacement(range(3), level))
+        c = np.empty((len(alphas),) + f.coeffs.shape, dtype=complex)
+        for spec, alpha in zip(c, alphas):
+            spec[...] = f.coeffs
             for ax in alpha:
-                c = _dcomp(g, c, ax)
-            out[level].append(_fft.irfftn(c, s=(g.n,) * 3, axes=(1, 2, 3),
-                                          norm="forward"))
+                np.multiply(deriv[ax], spec, out=spec)
+        out[level] = _inverse_transform(c)
     return out
 
 
@@ -65,8 +65,7 @@ def _seminorm(stacks, kappa: float) -> float:
     axis j and dyadic gap h = 1, 2, 4, ..., n/2 (the torus distance)."""
     n = stacks[0].shape[-1]
     gaps = [2**p for p in range(n.bit_length() - 1)]
-    return max(float(np.max(np.abs(s - np.roll(s, h, axis=axis))))
-               / (h / n) ** kappa
+    return max(_sup(s - np.roll(s, h, axis=axis)) / (h / n) ** kappa
                for s in stacks for axis in (-3, -2, -1) for h in gaps)
 
 
@@ -87,7 +86,7 @@ def holder_norm(f: SpectralField, order: float) -> HolderNormReport:
     levels = _derivative_levels(f, n_whole)
     sums = {}
     for level in sorted(levels):
-        sums[level] = sum(float(np.max(np.abs(s))) for s in levels[level])
+        sums[level] = sum(_sup(s) for s in levels[level])
     c0 = sums[0]
     c1 = c0 + sums.get(1, 0.0)
     c2 = c1 + sums.get(2, 0.0)
