@@ -491,7 +491,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                     w = rk4.step(half, t + dt / 2, dt / 2)
                     diff = np.zeros_like(v0.coeffs)
                     diff[box] = coarse - w
-                    trunc = c0_norm(SpectralField(grid, "vector3", diff)) / dt
+                    trunc = _sup(_inverse_transform(diff)) / dt
                     del diff, coarse, half   # trunc is per unit time
                     first = False
                 else:
@@ -501,7 +501,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                 box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
                 size = float((rest + box_sums).max()) * _BOUND_SLACK
                 if not size <= cfg.blowup_guard:   # the bound cannot settle it
-                    size = c0_norm(SpectralField(grid, "vector3", full(w)))
+                    size = _sup(_inverse_transform(full(w)))
                 if not size <= cfg.blowup_guard:   # also catches nan
                     what = ("field magnitude blow-up" if np.isfinite(size)
                             else "non-finite state or drift")
@@ -532,7 +532,10 @@ class SpectralInterpolant:
     transform of all components, ``fields._inverse_transform`` on the
     padded grid, gives the coefficients; on 2 usable CPUs it runs on 2
     workers when the padded grid has more than 32^3 points, with the same
-    coefficients as on one.
+    coefficients as on one.  The transform consumes the padded spectra, so
+    a build holds two arrays of the padded grid at its peak: those spectra
+    and the spline.  ``solve_flow_map`` frees its spent velocity spline
+    before each build, so at most one velocity spline is alive during one.
 
     A call splits its points into min(usable CPUs, ceil(points /
     ``_PART_POINTS``)) contiguous parts and evaluates them on the threads of
@@ -660,7 +663,11 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     solved on the grid (ROADMAP direction 1).  Each substep's last stage
     time is the next substep's first, so that velocity interpolant is built
     once for both; a velocity whose coefficients equal those of the last
-    build (compared by value against a kept copy) reuses that build.
+    build (compared by value against a kept copy) reuses that build.  At
+    most one velocity spline is alive during a build: each stage drops the
+    spline it called, a new build frees the kept one first, and the kept
+    one is freed before the composition's build unless the interval reused
+    it throughout, as a constant velocity does.
     Substeps are chosen so each RK4 step sees
     dt*||grad u|| <= 0.1 (keeps the volume defect of the non-conservative
     integrator near rounding over admissible spans).
@@ -675,13 +682,16 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
         n_substeps = max(1, int(np.ceil(span * max(gmax, 1e-12) / 0.1)))
 
     last = None   # (coefficients, interpolant) of the last velocity build
+    builds = 0
 
     def interp_at(t):
-        nonlocal last
+        nonlocal last, builds
         u = u_eval(t)
         if last is None or not np.array_equal(u.coeffs, last[0]):
-            last = (u.coeffs.copy(), SpectralInterpolant(
-                u, cfg.pad_factor, cfg.interp_points))
+            last = None   # the spent spline is freed before the next build
+            built = SpectralInterpolant(u, cfg.pad_factor, cfg.interp_points)
+            last = (u.coeffs.copy(), built)   # copied after the build peak
+            builds += 1
         return last[1]
 
     for a, b in zip(times[:-1], times[1:]):
@@ -689,18 +699,27 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
         pts = mesh.copy()
         dt = (b - a) / n_substeps
         t = b
+        start = builds
         end = interp_at(t)
         for _ in range(n_substeps):
             k1 = -end(pts)
+            del end   # each stage holds only the spline it calls
             mid = interp_at(t - dt / 2)
             k2 = -mid((pts + (dt / 2) * k1) % 1.0)
             k3 = -mid((pts + (dt / 2) * k2) % 1.0)
+            del mid
             end = interp_at(t - dt)
             k4 = -end((pts + dt * k3) % 1.0)
             pts = (pts + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
             t -= dt
+        del end, k1, k2, k3, k4   # spent before the composition's build
         new_disp = _wrap(pts - mesh)
         if len(fm.times) > 1:
+            if builds > start:
+                # the velocity changed within the interval, so the next one
+                # will not reuse its spline: free it before the build below;
+                # a constant velocity keeps it for the next interval
+                last = None
             # compose with the stored map: Phi(b, x) = Phi(a, psi(x)); on
             # the first interval the stored map is the identity
             prev = from_grid(fm.displacements[-1], grid, "vector3")

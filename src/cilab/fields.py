@@ -24,8 +24,23 @@ is one call.  They run pocketfft on ``grids._grid_parts`` workers, the rule
 that also sets the advection kernel's part count: 2 on a grid of more than
 32^3 points with at least 2 usable CPUs, else 1.  pocketfft gives each
 worker whole lines, so the samples and coefficients do not depend on the
-worker count.  ``gradient_tensor`` is one batched inverse transform of its
-nine spectra.  One ``gradient_tensor`` call, medians of 21 alternating calls
+worker count.
+
+``_inverse_transform`` consumes its input: it runs ``ifftn`` in place over
+the two leading grid axes, then ``irfft`` along z.  scipy's ``irfftn``
+(pocketfft ``c2rn``) ignores ``overwrite_x`` and holds a full complex copy
+of the spectra beside them and the samples; so one n = 64
+``gradient_tensor`` raises a fresh process's peak resident memory by 1.5
+times its nine spectra and nine grids through ``irfftn``, and by 1.0 times
+through the two passes, whose samples are bitwise ``irfftn``'s.
+``to_grid``, and ``c0_norm`` through it, hand the transform a copy, so no
+caller's field changes.  The callers whose spectra are their own scratch
+hand them over: ``gradient_tensor``, ``holder._derivative_levels``, the
+build of ``euler.SpectralInterpolant``, and the drifted solver's
+truncation and blow-up sup-norms.
+
+``gradient_tensor`` is one batched inverse transform of its nine spectra.
+One ``gradient_tensor`` call, medians of 21 alternating calls
 on a 2-CPU host, in three runs: at n = 64, one transform per row of the
 Jacobian and a stack took 72-74 ms, the batched transform 59-62 ms on one
 worker and 42-43 ms on two; at n = 32, 6.7-9.7 ms on one worker and
@@ -237,11 +252,20 @@ def _forward_transform(samples: np.ndarray) -> np.ndarray:
 
 def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     """irfftn over the last three axes of (..., n, n, n//2+1) half-spectra,
-    under ``norm="forward"``, on the workers of the module docstring's
-    rule."""
+    under ``norm="forward"``, on the workers of the module docstring's rule.
+
+    The input is consumed: ``ifftn`` runs in place over the two leading
+    grid axes, then ``irfft`` along z writes the real samples.  scipy's
+    ``irfftn`` ignores ``overwrite_x`` and copies the whole input for those
+    two passes, so it holds three full arrays where this holds two; it runs
+    the same passes in the same order, so the samples are bitwise its own.
+    Pass a copy to keep the spectra, as ``to_grid`` does.
+    """
     n = coeffs.shape[-2]
-    return _fft.irfftn(coeffs, s=(n,) * 3, axes=(-3, -2, -1), norm="forward",
-                       workers=_grid_parts(n ** 3, _usable_cpus()))
+    workers = _grid_parts(n ** 3, _usable_cpus())
+    lines = _fft.ifftn(coeffs, axes=(-3, -2), norm="forward",
+                       overwrite_x=True, workers=workers)
+    return _fft.irfft(lines, n=n, axis=-1, norm="forward", workers=workers)
 
 
 def zeros(grid: GridSpec, rank: str, mean_zero: bool = False) -> SpectralField:
@@ -265,8 +289,9 @@ def from_grid(samples: np.ndarray, grid: GridSpec, rank: str,
 
 
 def to_grid(f: SpectralField) -> np.ndarray:
-    """Real grid samples; scalar fields come back as a bare (n,n,n) array."""
-    out = _inverse_transform(f.coeffs)
+    """Real grid samples; scalar fields come back as a bare (n,n,n) array.
+    ``f`` is left as it is: the transform consumes a copy of its spectra."""
+    out = _inverse_transform(f.coeffs.copy())
     return out[0] if f.rank == "scalar" else out
 
 

@@ -157,8 +157,16 @@ class NoisePath:
         f.coeffs.reshape(-1)[slots] = vals.ravel()
         return f
 
+    def _sample_index(self, i: int) -> int:
+        """``i`` if it indexes a sample t_0..t_{n_steps}, else ValueError:
+        numpy would wrap a negative index to a sample from the end."""
+        if not 0 <= i <= self.n_steps:
+            raise ValueError(f"sample index {i} outside 0..{self.n_steps}")
+        return i
+
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
         """B(t_i) as a spectral field."""
+        i = self._sample_index(i)
         return self._assemble(self._roots * self.beta[:, i], grid)
 
     def project(self, u: SpectralField) -> np.ndarray:
@@ -167,7 +175,8 @@ class NoisePath:
         return 2.0 * np.real(np.einsum("cm,mc->m", cu, np.conj(self._stamps)))
 
     def index_of(self, t: float) -> int:
-        return int(round(t / self.dt))
+        """Index of the sample nearest t; ValueError if t is off the path."""
+        return self._sample_index(int(round(t / self.dt)))
 
 
 def sample_path(spec: SpectrumSpec, dt: float, horizon: float,
@@ -235,11 +244,14 @@ class MollifiedPath:
             self.dbeta_z[:, i0:i0 + L] = zz[:, :N1 - i0, 1]
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
+        i = self.path._sample_index(i)
         return self.path._assemble(self.path._roots * self.beta_z[:, i], grid)
 
     def dfield_at(self, i: int, grid: GridSpec) -> SpectralField:
         """Analytic-kernel time derivative of z at t_i."""
-        return self.path._assemble(self.path._roots * self.dbeta_z[:, i], grid)
+        i = self.path._sample_index(i)
+        return self.path._assemble(self.path._roots * self.dbeta_z[:, i],
+                                   grid)
 
 
 # ---------------------------------------------------------------------------

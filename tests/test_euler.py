@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -689,3 +690,35 @@ class TestFlowMapBuilds:
         assert builds == fresh_builds == 2 * 5 + 1
         assert all(np.array_equal(a, b) for a, b in
                    zip(fm.displacements, fresh.displacements))
+
+    def test_constant_velocity_is_reused_on_every_interval(self, monkeypatch):
+        u = smooth_div_free(self.G, 3, seed=66, amp=1.0)
+        fm, builds = self._run(monkeypatch, lambda t: u,
+                               [0.0, 0.01, 0.02, 0.03])
+        assert builds == 1 + 2   # one velocity, two compositions
+
+    def test_one_velocity_spline_alive_during_a_build(self):
+        # a time-varying velocity builds at every stage; over two intervals
+        # the map also builds its composition.  Each build holds its padded
+        # spectra and its spline; the slack of three n^3 vector fields
+        # covers the map's own grid arrays (mesh, points, stages, stored
+        # displacements).  A spent spline kept alive through a build would
+        # break the bound.
+        base = smooth_div_free(self.G, 3, seed=67, amp=1.0)
+        times = [0.0, 0.01, 0.02]
+
+        def run():
+            solve_flow_map(lambda t: (1 + 10 * t) * base, times, self.G,
+                           n_substeps=2)
+
+        run()   # first-call imports and caches are not the map's
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, nf = self.G.n, 2 * self.G.n
+        spline = 3 * nf ** 3 * 8
+        spectra = 3 * nf * nf * (nf // 2 + 1) * 16
+        assert peak < spline + (spectra + spline) + 3 * (3 * n ** 3 * 8)

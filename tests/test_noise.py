@@ -139,6 +139,39 @@ class TestSamplePath:
         assert abs(vals.mean() - c * t) < 3 * se
 
 
+class TestSampleIndex:
+    """An index off 0..n_steps raises, at either end: numpy would wrap a
+    negative one to a sample from the end of the path."""
+
+    PATH = sample_path(SPEC, 0.01, 0.2, seed=5)
+
+    @pytest.mark.parametrize("i", [-1, -20, 21])
+    @pytest.mark.parametrize("which", ["B", "z", "dz"])
+    def test_field_at_rejects(self, which, i):
+        z = MollifiedPath(self.PATH, 0.05)
+        at = {"B": self.PATH.field_at, "z": z.field_at,
+              "dz": z.dfield_at}[which]
+        with pytest.raises(ValueError, match=rf"index {i} outside 0\.\.20"):
+            at(i, GRID)
+
+    def test_ends_are_samples(self):
+        p = self.PATH
+        z = MollifiedPath(p, 0.05)
+        for i in (0, p.n_steps):
+            for at, rows in ((p.field_at, p.beta), (z.field_at, z.beta_z),
+                             (z.dfield_at, z.dbeta_z)):
+                assert np.array_equal(at(i, GRID).coeffs,
+                                      p._assemble(p._roots * rows[:, i],
+                                                  GRID).coeffs)
+
+    def test_index_of_rejects_times_off_the_path(self):
+        p = self.PATH
+        assert p.index_of(0.0) == 0 and p.index_of(p.horizon) == p.n_steps
+        for t in (-p.dt, p.horizon + p.dt):
+            with pytest.raises(ValueError, match="outside 0..20"):
+                p.index_of(t)
+
+
 def _spectrum_loop(p, scale, k_max):
     """Reference spectrum: one frame per wavevector, vector by vector, and
     the stamp of each mode from its own direction."""
