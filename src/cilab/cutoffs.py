@@ -79,6 +79,8 @@ def window_count(tau: float, horizon: float) -> int:
     The last window's rest interval J_m must reach past the horizon so the
     chi family stays a partition of unity on all of [0, horizon].
     """
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"window length tau={tau} is not positive and finite")
     return int(np.floor(max(horizon - tau / 3.0, 0.0) / tau)) + 2
 
 
@@ -167,6 +169,7 @@ class EtaFamily:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         horizon = float(t[-1])
+        window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
         tilt = 2.0 * self.eps_tilt * self.tau / 3.0

@@ -9,9 +9,9 @@ The right-hand side is one fused kernel, ``_Advection``, on compact arrays of
 the 2/3 box (Orszag, J. Atmos. Sci. 1971) in the layout of
 ``fields.spectral_tables(n).box``: shape (3, 2K+1, 2K+1, K+1) with
 K = n // 3, 30 % of the half-spectrum at n = 64.  The right-hand side is 0
-outside the box, so those modes never change during a solve: the RK4 state,
-stages and increments are box arrays, and each output is v0's coefficients
-with the box overwritten.  The kernel transforms u = v + Z up from the box,
+outside the box, so those modes never change during a solve: the RK4 state
+and increments are box arrays, and each output is v0's coefficients with
+the box overwritten.  The kernel transforms u = v + Z up from the box,
 forms five products, transforms them back to the box and applies -P div
 there.  The products are those of T = u (x) u - u_z^2 Id; the dropped part
 div(u_z^2 Id) = grad(u_z^2) is a gradient, which the Leray projection
@@ -27,7 +27,7 @@ of the per-n ``fields.spectral_tables``, from which every operator of
 every right-hand side of a solve.
 
 A kernel call has three phases, each split into two halves with a join
-after it: the head, per half of the box along y, writes u = v + Z into the
+after it: the head, per half of the box along y, writes v + c k + Z into the
 box blocks and transforms along x; the slab loop runs its x-slabs in two
 contiguous halves; the tail, per half of the box along y, transforms along
 x back to the box and forms -P div there.  On a grid of more than
@@ -50,6 +50,8 @@ step too.  A state passes the blow-up guard when its bound U is within
 ``cfg.blowup_guard``.  Only when a bound cannot settle the answer (a large
 bound, or nan or inf) do the grid transforms run, and then they decide as
 before, so the step counts and the outputs are those of the exact rules.
+The head forms each RK4 stage v + c k; u = v + Z of an output time lives in
+the kernel's work array: free between calls, and 5 (K+1) >= 3 (n/2+1).
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -61,8 +63,9 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SpectralField, _inverse_transform, _leray, _sup, c0_norm, differential,
-    from_grid, gradient_tensor, inner, leray_project, spectral_tables,
+    SpectralField, _check_same, _inverse_transform, _leray, _sup, c0_norm,
+    differential, from_grid, gradient_tensor, inner, leray_project,
+    spectral_tables,
 )
 from .grids import GridSpec, _grid_parts, _part_count, _usable_cpus
 from .holder import holder_norm
@@ -102,10 +105,15 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
 
     tau <= min( (1/4) (||v0||_{C^{1+a}} + ||Z||_{C_T C^{2+a}})^{-1}, horizon ).
     ``z_c2_alpha`` is the caller's estimate of the drift norm (pass 0 for
-    none); the limit is advisory at desk scale.
+    none); the limit is advisory at desk scale.  Either norm negative or not
+    finite raises ``ValueError``.
     """
+    if not 0.0 <= z_c2_alpha < np.inf:
+        raise ValueError(f"z_c2_alpha={z_c2_alpha} is negative or not finite")
     order = 1.0 + alpha
     total = holder_norm(v0, order).value(order) + z_c2_alpha
+    if not np.isfinite(total):
+        raise ValueError("the Hoelder estimate of v0 is not finite")
     if total <= 0:
         return horizon
     return min(0.25 / total, horizon)
@@ -125,8 +133,8 @@ class _Advection:
     have:
 
     - head, per half of the box along y (grid rows [0, K] and [n-K, n)):
-      the first 3 components take u = v + z in the 2 box blocks of that
-      half, the rows off the box along x are zeroed, and the lines are
+      the first 3 components take u = v + c k + z in the 2 box blocks of
+      that half, the rows off the box along x are zeroed, and the lines are
       inverse-transformed along x;
     - slabs, in two contiguous halves of the x-slabs of ``slab`` =
       max(1, 16384 // n^2) planes: each slab, while it is in cache, has its
@@ -210,14 +218,15 @@ class _Advection:
         other.result()
 
     def __call__(self, v: np.ndarray, z: SpectralField | None,
-                 out: np.ndarray) -> np.ndarray:
-        """The right-hand side at the box array v under the drift z, written
-        into the box array ``out`` and returned; ``out`` may be v."""
+                 out: np.ndarray, k: np.ndarray | None = None,
+                 c: float = 0.0) -> np.ndarray:
+        """The right-hand side at the box array v + c k (v without k) under
+        the drift z, written into ``out`` (which may be v or k) and returned."""
         if z is not None and (z.grid != self.grid or z.rank != "vector3"):
             raise ValueError("drift lives on a different grid or rank")
         if self.parts > 1 and self._pool is None:
             with self.worker():
-                return self(v, z, out)
+                return self(v, z, out, k, c)
         tab, n = self.tables, self.grid.n
         m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
         # (box rows, grid rows) of the two halves of the box along x or y
@@ -232,11 +241,14 @@ class _Advection:
             # here, those off it along y slab by slab
             u[:, m:hi, gy] = 0.0
             for bx, gx in halves:
-                if z is None:
-                    u[:, gx, gy] = v[:, bx, by]
-                else:
-                    np.add(v[:, bx, by], z.coeffs[:, gx, gy, :m],
-                           out=u[:, gx, gy])
+                ub, vb = u[:, gx, gy], v[:, bx, by]
+                if k is not None:   # the stage c k + v, summed in that order
+                    vb = np.multiply(k[:, bx, by], c, out=ub)
+                    vb += v[:, bx, by]
+                if z is not None:
+                    np.add(vb, z.coeffs[:, gx, gy, :m], out=ub)
+                elif k is None:
+                    ub[...] = vb
             _transform_lines(_fft.ifft, u[:, :, gy], 1)
 
         def slabs(h):
@@ -363,16 +375,16 @@ def _cfl_dt(u: SpectralField) -> float:
 class _RK4:
     """Classical RK4 steps of the drifted system on one grid, on box arrays.
 
-    The current k and the stage array are reused by every step; each step
-    returns a new box array.  The drift of the last time asked for is kept:
-    k4's time t + dt is the next step's k1 time, and an output time's.
+    The current k is reused by every step; each step returns a new box
+    array.  The kernel forms each stage v + c k; k3 and k4 read k already
+    doubled, with c halved (exact).  The drift of the last time asked for is
+    kept: k4's time t + dt is the next step's k1 time, and an output time's.
     """
 
     def __init__(self, grid: GridSpec, z_eval):
         self.z_eval = z_eval
         self.rhs = _Advection(grid)
         self.k = np.empty(self.rhs.shape, dtype=complex)
-        self._u = np.empty_like(self.k)
         self._last = None   # (t, z_eval(t)) of the last drift evaluated
 
     def drift(self, t: float) -> SpectralField | None:
@@ -385,16 +397,6 @@ class _RK4:
             self._last = (t, self.z_eval(t))
         return self._last[1]
 
-    def _stage(self, v: np.ndarray, k: np.ndarray, c: float) -> np.ndarray:
-        """v + c k, in the stage array."""
-        np.multiply(k, c, out=self._u)
-        self._u += v
-        return self._u
-
-    def first_k(self, v: np.ndarray, t: float) -> np.ndarray:
-        """k1 at (v, t) in its own array, for steps that share it."""
-        return self.rhs(v, self.drift(t), np.empty_like(self.k))
-
     def step(self, v: np.ndarray, t: float, dt: float,
              k1: np.ndarray | None = None) -> np.ndarray:
         """v(t + dt) from v(t); ``k1`` is reused if given."""
@@ -403,16 +405,14 @@ class _RK4:
             k1 = self.rhs(v, self.drift(t), k)
         new = k1.copy()   # k1 + 2 k2 + 2 k3 + k4, then v(t + dt)
         zm = self.drift(t + 0.5 * dt)
-        self.rhs(self._stage(v, k1, 0.5 * dt), zm, k)          # k2
-        stage = self._stage(v, k, 0.5 * dt)
+        self.rhs(v, zm, k, k1, 0.5 * dt)                        # k2
         k *= 2.0
         new += k
-        self.rhs(stage, zm, k)                                  # k3
+        self.rhs(v, zm, k, k, 0.25 * dt)                        # k3
         del zm   # one drift field alive at a time
-        stage = self._stage(v, k, dt)
         k *= 2.0
         new += k
-        self.rhs(stage, self.drift(t + dt), k)                  # k4
+        self.rhs(v, self.drift(t + dt), k, k, 0.5 * dt)         # k4
         new += k
         new *= dt / 6.0
         new += v
@@ -443,6 +443,15 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     grid, n = v0.grid, v0.grid.n
     box = spectral_tables(n).box
     rk4 = _RK4(grid, z_eval)
+    u_mem = rk4.rhs.work.reshape(-1)[:v0.coeffs.size].reshape(v0.coeffs.shape)
+
+    def with_drift(v: SpectralField, t: float) -> SpectralField:
+        if z_eval is None:
+            return v
+        z = rk4.drift(t)
+        _check_same(v, z)
+        np.add(v.coeffs, z.coeffs, out=u_mem)
+        return SpectralField(grid, v.rank, u_mem, v.mean_zero and z.mean_zero)
 
     def full(c: np.ndarray) -> np.ndarray:
         """v0's coefficients with the box array ``c`` in the box."""
@@ -460,7 +469,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     fields = [v0]
     n_steps = 0
     trunc = 0.0
-    u = v0 if z_eval is None else v0 + rk4.drift(t0)
+    u = with_drift(v0, t0)
     energies = [inner(u, u)]
     cfl_exact = 0
     first = True
@@ -478,13 +487,12 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                     raise RuntimeError("non-finite state or drift at step "
                                        f"{n_steps} (t={a:.4f})")
                 n_sub = max(1, int(np.ceil(span / dt_max)))
-            del u   # not kept alive through the steps
             dt = span / n_sub
             t = a
             for _ in range(n_sub):
                 if first:
                     # the coarse step and the first half step share k1
-                    k1 = rk4.first_k(w, t)
+                    k1 = rk4.rhs(w, rk4.drift(t), np.empty_like(w))
                     coarse = rk4.step(w, t, dt, k1)
                     half = rk4.step(w, t, dt / 2, k1)
                     del k1
@@ -508,7 +516,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                     raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
             v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
             fields.append(v)
-            u = v if z_eval is None else v + rk4.drift(b)
+            u = with_drift(v, b)
             energies.append(inner(u, u))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),
             "energy": np.array(energies), "cfl_exact": cfl_exact}

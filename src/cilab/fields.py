@@ -44,8 +44,9 @@ One ``gradient_tensor`` call, medians of 21 alternating calls
 on a 2-CPU host, in three runs: at n = 64, one transform per row of the
 Jacobian and a stack took 72-74 ms, the batched transform 59-62 ms on one
 worker and 42-43 ms on two; at n = 32, 6.7-9.7 ms on one worker and
-5.9-8.8 ms on two.  Grids of n <= 32 keep one worker all the same, under
-the one rule that the kernel needs: its two parts lose at n = 32.
+5.9-8.8 ms on two.  Grids of n <= 32 keep one worker all the same: the
+kernel's two parts lose at n = 32, and stepbench step-n32 does not gain end
+to end from two workers on every transform (``grids._GRID_PART_POINTS``).
 """
 
 import warnings

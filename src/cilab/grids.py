@@ -62,9 +62,12 @@ def _k_squared(n: int):
 
 
 # a whole-grid job takes 2 parts on a grid of more points than this,
-# n >= 33.  Alternating batches of advection-kernel calls on 2 CPUs, one part
-# against two: n = 32 3.5 -> 3.8 ms (two won 4 of 12), n = 36 5.6 -> 4.9 ms
-# (8 of 12), n = 40 7.4 -> 5.6 ms (11 of 12)
+# n >= 33.  Alternating runs on 2 CPUs, one part against two: advection
+# kernel calls n = 32 3.5 -> 3.8 ms (two won 4 of 12), n = 36 5.6 -> 4.9 ms
+# (8 of 12), n = 40 7.4 -> 5.6 ms (11 of 12); stepbench step-n32 with every
+# ``fields`` transform on 2 workers, two rounds of 6 pairs of 20 s runs:
+# setup_s 0.0203 -> 0.0251 s and 0.0250 -> 0.0254 s (two won 1 of 6 each),
+# step_s 1.249 -> 1.282 s and 1.374 -> 1.362 s (2 of 6 each)
 _GRID_PART_POINTS = 32 ** 3
 
 

@@ -46,6 +46,17 @@ class TestLocalTimeLimit:
         v0 = zeros(GRID, "vector3")
         assert local_time_limit(v0, 2.0, horizon=0.05) == pytest.approx(0.05)
 
+    def test_non_finite_velocity_estimate(self):
+        v0 = zeros(GridSpec(8), "vector3")
+        v0.coeffs[0, 1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="v0"):
+            local_time_limit(v0, 0.0)
+
+    @pytest.mark.parametrize("bound", [-1e6, np.nan, np.inf])
+    def test_drift_bound_negative_or_not_finite(self, bound):
+        with pytest.raises(ValueError, match="z_c2_alpha"):
+            local_time_limit(zeros(GridSpec(8), "vector3"), bound)
+
 
 class TestEulerSolver:
     def test_zero_stays_zero(self):
@@ -542,6 +553,65 @@ class TestKernelParts:
         with pytest.raises(FloatingPointError, match="worker's part"):
             _advection_rhs(_white(GridSpec(48), seed=31), None)
         assert threading.active_count() == threads
+
+
+class TestKernelStage:
+    """The stage v + c k that the kernel forms in its head, against the
+    kernel at the stage formed outside it, on one part and on two (two only
+    at n = 48 and 64)."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    @pytest.mark.parametrize("drift", [False, True])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_the_explicit_stage(self, monkeypatch, n, drift, cpus):
+        monkeypatch.setattr(euler, "_usable_cpus", lambda: cpus)
+        g = GridSpec(n)
+        box = spectral_tables(n).box
+        v, k = (_white(g, seed=n + i).coeffs[box] for i in range(2))
+        z = _white(g, seed=n + 2, amp=0.3) if drift else None
+        c = 3.7e-3
+        kernel = euler._Advection(g)
+        ref = kernel(np.multiply(k, c) + v, z, np.empty_like(v))
+        assert np.array_equal(kernel(v, z, np.empty_like(v), k, c), ref)
+        # k3 and k4 read the doubled k with c halved
+        assert np.array_equal(kernel(v, z, np.empty_like(v), 2.0 * k, c / 2),
+                              ref)
+        # the result may overwrite the k it was formed from, as in _RK4
+        out = k.copy()
+        assert np.array_equal(kernel(v, z, out, out, c), ref)
+
+
+class TestSolveFootprint:
+    def test_no_whole_temporaries_in_a_drifted_solve(self):
+        # at its peak a drifted solve holds its outputs, the kernel's work
+        # array and slab buffers, the drift field it evaluated last, and box
+        # arrays: the state, the step's sum and k.  The stages are formed in
+        # the kernel's head and u = v + z of each output time in its work
+        # array, so a stage array or a whole u would break the bound.
+        g = GridSpec(48)
+        v0 = smooth_div_free(g, 4, seed=80, amp=1.0)
+        z = smooth_div_free(g, 2, seed=81, amp=0.3)
+        times = np.linspace(0.0, 2e-3, 5)
+
+        def run():
+            return solve_euler_with_drift(v0, lambda t: (1 + 10 * t) * z,
+                                          0.0, times)
+
+        run()   # first-call imports and caches are not the solve's
+        tracemalloc.start()
+        try:
+            fields, diag = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one step per interval, each certified without the grid transforms
+        assert diag["steps"] == len(times) - 1 and diag["cfl_exact"] == 0
+        kernel = euler._Advection(g)
+        field = v0.coeffs.nbytes
+        outputs = (len(fields) - 1) * field
+        work = kernel.work.nbytes + kernel._grid.nbytes + kernel._prod.nbytes
+        box = np.empty(kernel.shape, dtype=complex).nbytes
+        assert peak < outputs + work + field + 3 * box
 
 
 def _arbitrary(grid, seed):

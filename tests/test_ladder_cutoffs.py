@@ -130,6 +130,16 @@ class TestChi:
         assert dmax > 1.0 / self.tau
 
 
+class TestWindowLength:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_rejected_by_both_families(self, tau):
+        times = np.linspace(0.0, 0.14, 57)
+        with pytest.raises(ValueError, match="tau"):
+            ChiFamily(tau, times)
+        with pytest.raises(ValueError, match="tau"):
+            EtaFamily(tau, times, n_x1=16)
+
+
 class TestEta:
     def setup_method(self):
         self.tau = 0.05
