@@ -457,6 +457,8 @@ def band_project(f: SpectralField, mode: str, cutoff: float) -> SpectralField:
     so the two modes sum to the identity.
     """
     g = f.grid
+    if not cutoff >= 0.0:
+        raise ValueError(f"band cutoff {cutoff} is negative or NaN")
     if cutoff > g.nyquist:
         warnings.warn(f"band cutoff {cutoff} beyond Nyquist {g.nyquist}; "
                       "clamping")

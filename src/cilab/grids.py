@@ -48,17 +48,22 @@ class GridSpec:
         return np.stack(np.meshgrid(x, x, x, indexing="ij"))
 
 
+# both caches hand every caller the same arrays: they are read-only, so no
+# caller can change what a later one sees
 @lru_cache(maxsize=16)
 def _wavenumbers(n: int):
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     kz = np.arange(n // 2 + 1, dtype=np.int64)
+    k.flags.writeable = kz.flags.writeable = False
     return k[:, None, None], k[None, :, None], kz[None, None, :]
 
 
 @lru_cache(maxsize=16)
 def _k_squared(n: int):
     kx, ky, kz = _wavenumbers(n)
-    return kx * kx + ky * ky + kz * kz
+    ksq = kx * kx + ky * ky + kz * kz
+    ksq.flags.writeable = False
+    return ksq
 
 
 # a whole-grid job takes 2 parts on a grid of more points than this,

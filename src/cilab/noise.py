@@ -276,8 +276,9 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
     over dyadic-gap sample pairs; ``kind='sup'`` uses sup_t H^{5/2+gamma}.
     The Sobolev constant is folded into the user-chosen L by default.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    for name, value in (("L", L), ("sobolev_constant", sobolev_constant)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name}={value} is not positive and finite")
     if kind == "holder":
         if not 0.0 < alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")

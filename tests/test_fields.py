@@ -262,6 +262,14 @@ class TestBandProject:
             g = band_project(f, "leq", 100.0)
         assert np.max(np.abs(g.coeffs - f.coeffs)) == 0.0
 
+    @pytest.mark.parametrize("cutoff", [-2.0, np.nan])
+    @pytest.mark.parametrize("mode", ["leq", "geq"])
+    def test_rejects_negative_or_nan_cutoff(self, cutoff, mode):
+        # ksq <= cutoff**2 would keep |k| <= 2 for cutoff -2, nothing for NaN
+        f = random_band_limited(GridSpec(16), "scalar", 4, seed=15)
+        with pytest.raises(ValueError, match="negative or NaN"):
+            band_project(f, mode, cutoff)
+
 
 class TestMollify:
     def test_constant_preserved(self):
@@ -412,3 +420,10 @@ class TestGridSpec:
 
     def test_nyquist(self):
         assert GridSpec(32).nyquist == 16
+
+    def test_cached_wavenumbers_are_read_only(self):
+        g = GridSpec(16)
+        for table in (*g.wavenumbers(), g.k_squared()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 7
+        assert g.wavenumbers()[0][1, 0, 0] == 1 and g.k_squared()[1, 0, 0] == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cilab.ladder import ladder
 from cilab.cutoffs import (ChiFamily, EtaFamily, bump, bump_cdf, bump_deriv,
-                           smoothstep, smoothstep_deriv)
+                           smoothstep, smoothstep_deriv, window_count)
 
 
 class TestLadder:
@@ -130,6 +130,72 @@ class TestChi:
         assert dmax > 1.0 / self.tau
 
 
+def _chi_window_loop(tau, times):
+    """Reference for ChiFamily: values and derivatives one window at a time,
+    rising over I_{i-1} before t_i and falling over I_i from t_i on."""
+    t = np.asarray(times)
+    m = window_count(tau, t.max())
+    vals, dvals = np.zeros((m, len(t))), np.zeros((m, len(t)))
+    third = tau / 3.0
+    for i in range(m):
+        rise_a = (i - 1) * tau + third
+        fall_a = i * tau + third
+        if i == 0:
+            up, dup = np.ones_like(t), np.zeros_like(t)
+        else:
+            up = smoothstep((t - rise_a) / third)
+            dup = smoothstep_deriv((t - rise_a) / third) / third
+        down = smoothstep(1.0 - (t - fall_a) / third)
+        ddown = -smoothstep_deriv((t - fall_a) / third) / third
+        vals[i] = np.where(t < i * tau, up, down)
+        dvals[i] = np.where(t < i * tau, dup, ddown)
+    return vals, dvals
+
+
+def _path_grid_tau():
+    """tau_0 of the toy ladder that a 1000-step path with dt = 1e-3 is glued
+    on: about 97 windows."""
+    lad = ladder(a=2.0 ** 130, b=1.04, alpha=1e-4, beta=0.2, L=24.0,
+                 q_max=2, overrides={0: 1.0, 1: 2.0, 2: 3.0})
+    return lad.tau[0]
+
+
+class TestChiOnePass:
+    @pytest.mark.parametrize("tau, times", [
+        (0.05, np.linspace(0.0, 0.14, 57)),
+        (_path_grid_tau(), np.arange(1001) * 1e-3)])
+    def test_matches_window_loop(self, tau, times):
+        chi = ChiFamily(tau, times)
+        vals, dvals = _chi_window_loop(tau, times)
+        assert np.array_equal(chi.values, vals)
+        assert np.array_equal(chi.dvalues, dvals)
+
+
+class TestShuffledTimes:
+    # both families read the horizon as the latest time, wherever it sits
+    def setup_method(self):
+        self.tau = 0.05
+        self.times = np.linspace(0.0, 0.14, 113)
+        self.perm = np.random.default_rng(3).permutation(len(self.times))
+
+    def test_chi(self):
+        ref = ChiFamily(self.tau, self.times)
+        chi = ChiFamily(self.tau, self.times[self.perm])
+        assert chi.n_windows == ref.n_windows
+        assert np.array_equal(chi.values, ref.values[:, self.perm])
+        assert np.array_equal(chi.dvalues, ref.dvalues[:, self.perm])
+
+    @pytest.mark.parametrize("straight_zero", [False, True])
+    def test_eta(self, straight_zero):
+        ref = EtaFamily(self.tau, self.times, n_x1=16,
+                        straight_zero=straight_zero)
+        eta = EtaFamily(self.tau, self.times[self.perm], n_x1=16,
+                        straight_zero=straight_zero)
+        assert eta.n_windows == ref.n_windows == 3
+        assert np.array_equal(eta.values, ref.values[:, self.perm])
+        assert np.array_equal(eta.zeta, ref.zeta[self.perm])
+
+
 class TestWindowLength:
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_rejected_by_both_families(self, tau):
@@ -166,6 +232,13 @@ class TestEta:
     def test_range(self):
         assert self.eta.values.min() >= 0.0
         assert self.eta.values.max() <= 1.0 + 1e-12
+
+    def test_on_grid(self):
+        prof = self.eta.on_grid(1, 40, 64)
+        assert prof.shape == (64, 64, 64)
+        assert np.array_equal(prof[:, 5, 7], self.eta.values[1, 40])
+        with pytest.raises(ValueError, match="n_x1=64"):
+            self.eta.on_grid(1, 40, 32)
 
     def test_matches_evaluation_at_every_time(self):
         # reference: each window evaluated at every time of a shuffled grid

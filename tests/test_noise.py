@@ -462,6 +462,17 @@ class TestStoppingTime:
         assert got[0].triggered_by == "norm_threshold"
         assert got[-1].triggered_by == "horizon_cap"
 
+    # unchecked, these give a certified NaN stopping time, a
+    # ZeroDivisionError, a stop at t = 0 and an uncertified horizon cap
+    @pytest.mark.parametrize("L, sobolev_constant, name", [
+        (np.nan, 1.0, "L"), (1.0, 0.0, "sobolev_constant"),
+        (1.0, -1.0, "sobolev_constant"), (1.0, np.nan, "sobolev_constant")])
+    def test_rejects_threshold_not_positive_and_finite(self, L,
+                                                       sobolev_constant, name):
+        p = sample_path(SPEC, 0.01, 0.2, seed=19)
+        with pytest.raises(ValueError, match=f"^{name}="):
+            stopping_time(p, L, 0.1, 0.01, sobolev_constant=sobolev_constant)
+
 
 class TestItoIntegral:
     def test_matches_step_loop(self):
