@@ -26,16 +26,16 @@ of the per-n ``fields.spectral_tables``, from which every operator of
 ``fields`` reads its multipliers too.  One kernel and its work arrays serve
 every right-hand side of a solve.
 
-A kernel call has three phases, each split into two halves with a join
-after it: the head, per half of the box along y, writes v + c k + Z into the
-box blocks and transforms along x; the slab loop runs its x-slabs in two
-contiguous halves; the tail, per half of the box along y, transforms along
-x back to the box and forms -P div there.  On a grid of more than
-``grids._GRID_PART_POINTS`` = 32^3 points (n >= 33) with 2 usable CPUs, the
-two halves of each phase run at once, one on the calling thread and one on a
-worker thread that the solve owns and joins.  Every element goes through
-the same operations on one part or two, so the outputs do not depend on
-the part count.  In alternating batches of calls on a 2-CPU host, one part
+A kernel call has three phases, each split into two halves, and
+``grids.run_parts`` ends each phase before the next: the head, per half of
+the box along y, writes v + c k + Z into the box blocks and transforms along
+x; the slab loop runs its x-slabs in two contiguous halves; the tail, per
+half of the box along y, transforms along x back to the box and forms -P div
+there.  On a grid of more than ``grids._GRID_PART_POINTS`` = 32^3 points
+(n >= 33) with 2 usable CPUs, the two halves of each phase run at once, one
+on the calling thread and one on the thread that the call starts and joins.
+Every element goes through the same operations on one part or two, so the
+outputs do not depend on the part count.  In alternating batches of calls on a 2-CPU host, one part
 against two: 13.4 -> 9.1 ms per call at n = 48, 29.2 -> 18.0 ms at n = 64.
 The same rule, ``grids._grid_parts``, sets the workers of the grid
 transforms of ``fields`` that the CFL rule, the flow map and the
@@ -54,8 +54,6 @@ The head forms each RK4 stage v + c k; u = v + Z of an output time lives in
 the kernel's work array: free between calls, and 5 (K+1) >= 3 (n/2+1).
 """
 
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -67,7 +65,9 @@ from .fields import (
     differential, from_grid, gradient_tensor, inner, leray_project,
     spectral_tables,
 )
-from .grids import GridSpec, _grid_parts, _part_count, _usable_cpus
+from .grids import (
+    GridSpec, _grid_parts, _part_count, _usable_cpus, run_parts,
+)
 from .holder import holder_norm
 
 # bound on dt * (n |u|_0 + |grad u|_0) per RK4 step.  The count of an
@@ -152,13 +152,13 @@ class _Advection:
       projected by ``_leray`` on that half's columns.
 
     ``parts`` is ``grids._grid_parts`` of the grid: 2 when at least 2 CPUs
-    are usable and the grid has more than 32^3 points, else 1.  With 2 parts
-    the second half of each phase runs on the thread of ``worker``, at the
-    same time as the first; a call outside that block opens it for itself.
-    With 1 part the halves run in turn.  Each part has its own slab buffers,
-    the leading axis of ``_grid`` and ``_prod``.  Every element goes through
-    the same operations either way, so the result does not depend on
-    ``parts``.
+    are usable and the grid has more than 32^3 points, else 1.  A call runs
+    its phases through ``grids.run_parts`` on ``parts`` parts, and part p
+    runs the halves p, p + parts, ... of each phase: with 2 parts the second
+    half runs on the thread the call starts, at the same time as the first.
+    Each part has its own slab buffers, the leading axis of ``_grid`` and
+    ``_prod``.  Every element goes through the same operations either way,
+    so the result does not depend on ``parts``.
 
     The five products are those of T = u (x) u - u_z^2 Id:
     u_x^2 - u_z^2, u_y^2 - u_z^2, u_x u_y, u_x u_z and u_y u_z.  The dropped
@@ -186,36 +186,6 @@ class _Advection:
         self._grid = np.empty((self.parts, 3, self.slab * n, n))
         self._prod = np.empty((self.parts, 5, self.slab * n, n))
         self._c2r, self._r2c = _z_matrices(n, K + 1)
-        self._pool = None   # the worker of the second part, inside ``worker``
-
-    @contextmanager
-    def worker(self):
-        """A block inside which every call runs its second part on one
-        worker thread; the thread is joined when the block ends."""
-        if self.parts == 1:
-            yield
-            return
-        with ThreadPoolExecutor(max_workers=1) as self._pool:
-            try:
-                yield
-            finally:
-                self._pool = None
-
-    def _run(self, phase) -> None:
-        """The halves phase(0) and phase(1): at once, the second on the
-        worker, when the kernel has two parts, else in turn.  Both have
-        ended when this returns or raises, and an error of either half is
-        raised here."""
-        if self.parts == 1:
-            phase(0)
-            phase(1)
-            return
-        other = self._pool.submit(phase, 1)
-        try:
-            phase(0)
-        finally:
-            wait((other,))
-        other.result()
 
     def __call__(self, v: np.ndarray, z: SpectralField | None,
                  out: np.ndarray, k: np.ndarray | None = None,
@@ -224,9 +194,6 @@ class _Advection:
         the drift z, written into ``out`` (which may be v or k) and returned."""
         if z is not None and (z.grid != self.grid or z.rank != "vector3"):
             raise ValueError("drift lives on a different grid or rank")
-        if self.parts > 1 and self._pool is None:
-            with self.worker():
-                return self(v, z, out, k, c)
         tab, n = self.tables, self.grid.n
         m, hi = tab.kmax + 1, n - tab.kmax   # box rows: [0, m) and [hi, n)
         # (box rows, grid rows) of the two halves of the box along x or y
@@ -287,8 +254,9 @@ class _Advection:
             _leray(o, (dx, dy[:, by], dz), tab.box_inv_lap[:, by])
             np.negative(o, out=o)
 
-        for phase in (head, slabs, tail):
-            self._run(phase)
+        # part p runs the halves p, p + parts, ... of each phase, in turn
+        run_parts([lambda p, f=f: [f(h) for h in range(p, 2, self.parts)]
+                   for f in (head, slabs, tail)], self.parts)
         return out
 
 
@@ -436,6 +404,8 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     """
     cfg = cfg or SolverConfig()
     out_times = np.asarray(out_times, dtype=float)
+    if not np.all(np.isfinite(out_times)):
+        raise ValueError("out_times must be finite")
     if abs(out_times[0] - t0) > 1e-12:
         raise ValueError("out_times must start at t0")
     if not np.all(np.diff(out_times) > 0):
@@ -473,51 +443,50 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     energies = [inner(u, u)]
     cfl_exact = 0
     first = True
-    with rk4.rhs.worker():   # joined before the solve returns or raises
-        for a, b in zip(out_times[:-1], out_times[1:]):
-            span = b - a
-            # u = v + z(a) is the field whose energy was taken at a
-            u_bound, g_bound = _sup_bounds(u)
-            if span * (n * u_bound + g_bound) <= _CFL_FACTOR:
-                n_sub = 1
+    for a, b in zip(out_times[:-1], out_times[1:]):
+        span = b - a
+        # u = v + z(a) is the field whose energy was taken at a
+        u_bound, g_bound = _sup_bounds(u)
+        if span * (n * u_bound + g_bound) <= _CFL_FACTOR:
+            n_sub = 1
+        else:
+            cfl_exact += 1
+            dt_max = _cfl_dt(u)
+            if np.isnan(dt_max):
+                raise RuntimeError("non-finite state or drift at step "
+                                   f"{n_steps} (t={a:.4f})")
+            n_sub = max(1, int(np.ceil(span / dt_max)))
+        dt = span / n_sub
+        t = a
+        for _ in range(n_sub):
+            if first:
+                # the coarse step and the first half step share k1
+                k1 = rk4.rhs(w, rk4.drift(t), np.empty_like(w))
+                coarse = rk4.step(w, t, dt, k1)
+                half = rk4.step(w, t, dt / 2, k1)
+                del k1
+                w = rk4.step(half, t + dt / 2, dt / 2)
+                diff = np.zeros_like(v0.coeffs)
+                diff[box] = coarse - w
+                trunc = _sup(_inverse_transform(diff)) / dt
+                del diff, coarse, half   # trunc is per unit time
+                first = False
             else:
-                cfl_exact += 1
-                dt_max = _cfl_dt(u)
-                if np.isnan(dt_max):
-                    raise RuntimeError("non-finite state or drift at step "
-                                       f"{n_steps} (t={a:.4f})")
-                n_sub = max(1, int(np.ceil(span / dt_max)))
-            dt = span / n_sub
-            t = a
-            for _ in range(n_sub):
-                if first:
-                    # the coarse step and the first half step share k1
-                    k1 = rk4.rhs(w, rk4.drift(t), np.empty_like(w))
-                    coarse = rk4.step(w, t, dt, k1)
-                    half = rk4.step(w, t, dt / 2, k1)
-                    del k1
-                    w = rk4.step(half, t + dt / 2, dt / 2)
-                    diff = np.zeros_like(v0.coeffs)
-                    diff[box] = coarse - w
-                    trunc = _sup(_inverse_transform(diff)) / dt
-                    del diff, coarse, half   # trunc is per unit time
-                    first = False
-                else:
-                    w = rk4.step(w, t, dt)
-                t += dt
-                n_steps += 1
-                box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
-                size = float((rest + box_sums).max()) * _BOUND_SLACK
-                if not size <= cfg.blowup_guard:   # the bound cannot settle it
-                    size = _sup(_inverse_transform(full(w)))
-                if not size <= cfg.blowup_guard:   # also catches nan
-                    what = ("field magnitude blow-up" if np.isfinite(size)
-                            else "non-finite state or drift")
-                    raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
-            v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
-            fields.append(v)
-            u = with_drift(v, b)
-            energies.append(inner(u, u))
+                w = rk4.step(w, t, dt)
+            t += dt
+            n_steps += 1
+            box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
+            size = float((rest + box_sums).max()) * _BOUND_SLACK
+            if not size <= cfg.blowup_guard:   # the bound cannot settle it
+                size = _sup(_inverse_transform(full(w)))
+            if not size <= cfg.blowup_guard:   # also catches nan
+                what = ("field magnitude blow-up" if np.isfinite(size)
+                        else "non-finite state or drift")
+                raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
+        v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
+        fields.append(v)
+        u = with_drift(v, b)
+        energies.append(inner(u, u))
     diag = {"steps": n_steps, "truncation_per_time": float(trunc),
             "energy": np.array(energies), "cfl_exact": cfl_exact}
     return fields, diag
@@ -546,11 +515,12 @@ class SpectralInterpolant:
     before each build, so at most one velocity spline is alive during one.
 
     A call splits its points into min(usable CPUs, ceil(points /
-    ``_PART_POINTS``)) contiguous parts and evaluates them on the threads of
-    a pool that the call joins before it returns; ``map_coordinates``
-    releases the interpreter lock, so the parts run at once.  Each point's
-    value is computed alone, so the split changes no value.  The class is to
-    be replaced by an Eulerian flow map solved on the grid (ROADMAP
+    ``_PART_POINTS``)) contiguous parts and evaluates them through
+    ``grids.run_parts``: the first on the calling thread, the others on
+    threads the call starts and joins; ``map_coordinates`` releases the
+    interpreter lock, so the parts run at once.  Each point's value is
+    computed alone, so the split changes no value.  The class is to be
+    replaced by an Eulerian flow map solved on the grid (ROADMAP
     direction 1).
     """
 
@@ -589,16 +559,14 @@ class SpectralInterpolant:
         out = np.empty((self.spline.shape[0], m))
         k = _part_count(m, _PART_POINTS, _usable_cpus())
 
-        def evaluate(part):
+        def evaluate(i):
+            part = slice(m * i // k, m * (i + 1) // k)
             for comp, coef in zip(out, self.spline):
                 ndimage.map_coordinates(coef, x[:, part], output=comp[part],
                                         order=self.order - 1,
                                         mode="grid-wrap", prefilter=False)
 
-        parts = [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            # reading every result re-raises an error of any part here
-            list(pool.map(evaluate, parts))
+        run_parts((evaluate,), k)
         return out.reshape((self.spline.shape[0],) + shape)
 
 

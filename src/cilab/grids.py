@@ -1,7 +1,9 @@
-"""Uniform grids on the periodic unit box [0,1)^3, and the rule that splits
-a job on a grid over the usable CPUs."""
+"""Uniform grids on the periodic unit box [0,1)^3, the rule that splits a
+job on a grid over the usable CPUs, and ``run_parts``, the one way the
+library runs the parts of a job on threads."""
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,3 +96,22 @@ def _grid_parts(points: int, cpus: int) -> int:
     """Parts of a whole-grid job of ``points``: 2 on a grid of more than
     ``_GRID_PART_POINTS`` points with at least 2 of ``cpus``, else 1."""
     return min(2, _part_count(points, _GRID_PART_POINTS, cpus))
+
+
+def run_parts(phases, parts: int) -> None:
+    """phase(p) for p = 0..parts-1, one phase after another: part 0 on the
+    calling thread, the others on ``parts - 1`` threads that the call starts
+    and joins before it returns or raises (leaving the pool's block waits
+    for every part it was given).  Every part of a phase ends before the next
+    phase starts, and an error of any part is raised here.  One part is a
+    plain loop on the calling thread."""
+    if parts == 1:
+        for phase in phases:
+            phase(0)
+        return
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        for phase in phases:
+            others = [pool.submit(phase, p) for p in range(1, parts)]
+            phase(0)
+            for other in others:
+                other.result()

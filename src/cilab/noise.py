@@ -115,6 +115,9 @@ class NoisePath:
 
     def __init__(self, spec: SpectrumSpec, dt: float, horizon: float,
                  seed: int):
+        for name, value in (("dt", dt), ("horizon", horizon)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} is not finite")
         if dt <= 0 or horizon < dt:
             raise ValueError("need dt > 0 and horizon >= dt")
         self.spec = spec
@@ -198,6 +201,8 @@ class MollifiedPath:
     """
 
     def __init__(self, path: NoisePath, iota: float):
+        if not np.isfinite(iota):
+            raise ValueError(f"iota={iota} is not finite")
         if iota < 2.0 * path.dt:
             raise ValueError("kernel under-resolved in time: need "
                              f"iota >= 2*dt, got iota={iota}, dt={path.dt}")
@@ -279,6 +284,8 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
     for name, value in (("L", L), ("sobolev_constant", sobolev_constant)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name}={value} is not positive and finite")
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma={gamma} is not finite")
     if kind == "holder":
         if not 0.0 < alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")

@@ -396,6 +396,14 @@ class TestSolverInputs:
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_euler_with_drift(v0, None, 0.0, times)
 
+    # unchecked, an infinite end time overflows the CFL substep count
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, 0.01, np.inf],
+                                       [np.nan, 0.01]])
+    def test_rejects_times_not_finite(self, times):
+        v0 = smooth_div_free(GridSpec(16), 3, seed=20, amp=1.0)
+        with pytest.raises(ValueError, match="out_times must be finite"):
+            solve_euler_with_drift(v0, None, 0.0, times)
+
     def test_nan_initial_field(self):
         v0 = smooth_div_free(GridSpec(16), 3, seed=21, amp=1.0)
         v0.coeffs[1, 2, 1, 1] = np.nan

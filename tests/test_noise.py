@@ -138,6 +138,14 @@ class TestSamplePath:
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - c * t) < 3 * se
 
+    # unchecked, NaN or an infinite horizon fails in the count of steps
+    @pytest.mark.parametrize("dt, horizon, name", [
+        (np.nan, 1.0, "dt"), (np.inf, 1.0, "dt"), (0.01, np.nan, "horizon"),
+        (0.01, np.inf, "horizon")])
+    def test_rejects_not_finite(self, dt, horizon, name):
+        with pytest.raises(ValueError, match=f"^{name}=.* not finite"):
+            sample_path(SPEC, dt, horizon, seed=1)
+
 
 class TestSampleIndex:
     """An index off 0..n_steps raises, at either end: numpy would wrap a
@@ -336,6 +344,13 @@ class TestMollified:
         with pytest.raises(ValueError, match="iota.*path.horizon"):
             MollifiedPath(p, 1.0)
 
+    # unchecked, NaN fails in the count of taps
+    @pytest.mark.parametrize("iota", [np.nan, np.inf, -np.inf])
+    def test_rejects_iota_not_finite(self, iota):
+        p = sample_path(SPEC, 0.01, 1.0, seed=3)
+        with pytest.raises(ValueError, match="^iota=.* not finite"):
+            MollifiedPath(p, iota)
+
     def test_adapted(self):
         # values at time <= t_i are unchanged by perturbing the future
         p1 = sample_path(SPEC, 0.01, 1.0, seed=4)
@@ -472,6 +487,16 @@ class TestStoppingTime:
         p = sample_path(SPEC, 0.01, 0.2, seed=19)
         with pytest.raises(ValueError, match=f"^{name}="):
             stopping_time(p, L, 0.1, 0.01, sobolev_constant=sobolev_constant)
+
+    # unchecked, NaN and -inf give a certified stop at the horizon cap L,
+    # where gamma = 0 stops at t = 0.01, and inf an infinite norm
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["holder", "sup"])
+    def test_rejects_gamma_not_finite(self, gamma, kind):
+        p = sample_path(SPEC, 1e-2, 1.0, seed=7)
+        assert stopping_time(p, 0.5, 0.1, 0.0, kind=kind).value < 0.5
+        with pytest.raises(ValueError, match="^gamma="):
+            stopping_time(p, 0.5, 0.1, gamma, kind=kind)
 
 
 class TestItoIntegral:
