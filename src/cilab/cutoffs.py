@@ -7,10 +7,10 @@ window, so the glued stress vanishes identically between the I intervals.
 eta_i: mollified indicators of sinusoidally tilted time slabs; the tilt
 keeps sum_i int eta_i^2 dx uniformly positive (target 1/5) at every time,
 which is what lets the energy gap be pumped strictly between gluing times.
-The mollified slab edges read ``bump_cdf``, a 4096-node trapezoid table of
-the one-sided bump's CDF interpolated linearly: it is within 9e-8 of the
-CDF, and its slope is piecewise constant, so the computed eta_i are C^0,
-smooth only up to that 1e-7 level.
+The slabs are mollified in time by smoothstep', a C_c^infty kernel of unit
+mass on [0, width]: each slab edge reads ``smoothstep``, so the eta_i are
+smooth, with the closed-form time derivative that ``smoothstep_deriv``
+gives.
 
 The package's one bump kernel (``bump``) and one smooth step
 (``smoothstep``) live here too.
@@ -129,29 +129,6 @@ class ChiFamily:
         return float(np.max(np.abs(self.values.sum(axis=0) - 1.0)))
 
 
-def _bump_cdf_table(n: int = 4096):
-    s = np.linspace(0.0, 1.0, n)
-    w = bump((2.0 * s - 1.0) ** 2)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]))])
-    cdf /= cdf[-1]
-    return s, cdf
-
-
-_CDF_S, _CDF_V = _bump_cdf_table()
-
-
-def bump_cdf(x):
-    """The CDF of the standard one-sided bump on (0,1), exact 0/1 outside,
-    read by linear interpolation from a 4096-node trapezoid table.
-
-    The table is within 8.9e-8 of the CDF by quadrature, and its slope is
-    piecewise constant: the result is continuous, not smooth.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.interp(x, _CDF_S, _CDF_V, left=0.0, right=1.0)
-    return out
-
-
 @dataclass
 class EtaFamily:
     """Squiggling space-time cutoffs (plus the Cauchy-mode variants).
@@ -175,6 +152,11 @@ class EtaFamily:
         t = np.asarray(self.times, dtype=float)
         horizon = float(t.max())
         window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
+        if not 0.0 < self.eps_moll < np.inf:
+            raise ValueError(f"eps_moll={self.eps_moll} is not positive "
+                             "and finite")
+        if not 0.0 < self.eps_tilt < 1.0 / 3.0:
+            raise ValueError(f"eps_tilt={self.eps_tilt} is not in (0, 1/3)")
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
         tilt = 2.0 * self.eps_tilt * self.tau / 3.0
@@ -188,7 +170,7 @@ class EtaFamily:
         shifts = [tilt * np.sin(2 * np.pi * (x1 - yk)) for yk in y]
         if self.straight_zero:
             vals[0] = self._straight0(t)[:, None]
-        # bump_cdf is exactly 0 below 0 and exactly 1 above 1, so each term
+        # smoothstep is exactly 0 below 0 and exactly 1 above 1, so each term
         # vanishes unless lo < t - shift < hi + width: only times within that
         # span, padded by the tilt and by width, can be nonzero.  The live
         # (window, time) rows of all windows go through the nodes at once.
@@ -204,7 +186,7 @@ class EtaFamily:
         for sh, wk in zip(shifts, wy):
             arg_lo = (tr - sh[None, :] - lo_r) / width
             arg_hi = (tr - sh[None, :] - hi_r) / width
-            acc += wk * (bump_cdf(arg_lo) - bump_cdf(arg_hi))
+            acc += wk * (smoothstep(arg_lo) - smoothstep(arg_hi))
         vals[i[w], r] = acc
         self.values = vals
         if self.straight_zero:

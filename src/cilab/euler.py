@@ -61,9 +61,9 @@ import numpy as np
 from scipy import fft as _fft
 
 from .fields import (
-    SpectralField, _check_same, _inverse_transform, _leray, _sup, c0_norm,
-    differential, from_grid, gradient_tensor, inner, leray_project,
-    spectral_tables,
+    SpectralField, _check_same, _column_weights, _inverse_transform, _leray,
+    _sup, c0_norm, differential, from_grid, gradient_tensor, inner,
+    leray_project, spectral_tables,
 )
 from .grids import (
     GridSpec, _grid_parts, _part_count, _usable_cpus, run_parts,
@@ -301,11 +301,11 @@ def _advection_rhs(v: SpectralField,
 
 
 def _weighted_abs(c: np.ndarray, n: int) -> np.ndarray:
-    """w_k |c_k| for a block of rfft columns that starts at k_z = 0: w_k is
-    1 on the columns k_z = 0 and n/2 and 2 elsewhere, so that the sum over
-    the block bounds the grid maximum of the modes it holds."""
+    """w_k |c_k| for a block of rfft columns that starts at k_z = 0, with
+    the column weights w_k of ``fields._column_weights``, so that the sum
+    over the block bounds the grid maximum of the modes it holds."""
     a = np.abs(c)
-    a[..., 1:n // 2] *= 2.0
+    a *= _column_weights(n)[:a.shape[-1]]
     return a
 
 

@@ -91,10 +91,6 @@ class SpectralField:
         if mean_zero:
             self.coeffs[:, 0, 0, 0] = 0.0
 
-    @property
-    def ncomp(self) -> int:
-        return RANK_COMPONENTS[self.rank]
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.rank, self.coeffs.copy(),
                              self.mean_zero)
@@ -160,9 +156,9 @@ class ModeTable:
     |k_i| must be below n/2: beyond that, k and k - n share a slot.
 
     Scatters take values of shape (ncomp, M), write the partner as well, and
-    so keep the stored spectrum that of a real field.  ``write_plan`` splits
-    a weighted sum of fixed values into passes of distinct slots, so that
-    repeated wavevectors accumulate in mode order, exactly as one
+    so keep the stored spectrum that of a real field.  ``write_plan`` lists
+    the writes of a weighted sum of fixed values in mode order, so that one
+    ``np.add.at`` accumulates repeated wavevectors exactly as one
     ``set_mode(k, get_mode(k) + w v)`` per row would.
     """
 
@@ -211,25 +207,18 @@ class ModeTable:
         return np.conjugate(vals, out=vals, where=self._conj_write)
 
     def write_plan(self, values):
-        """Plan for storing sum_m w_m values[:, m], for any real weights w:
-        the flat indices of the distinct slots written, component by
-        component; per pass p the mode of each slot's p-th write, shape
-        (P, S), and its value as stored, shape (P, ncomp, S), 0 past the
-        slot's last write.  Summing w[modes[p]] * vals[p] in pass order into
-        a zeroed array at the indices adds each slot's writes in mode order.
+        """The writes of sum_m w_m values[:, m], for any real weights w: the
+        flat index into the whole (ncomp, n, n, n//2+1) array, the mode and
+        the value as stored of every write, component by component and in
+        mode order.  ``np.add.at(flat, targets, w[modes] * stored)`` on a
+        zeroed array adds each slot's writes in index order, so in mode
+        order, starting from +0.
         """
-        slots, where, count = np.unique(self._targets, return_inverse=True,
-                                        return_counts=True)
-        order = np.argsort(where, kind="stable")     # by slot, in mode order
-        where = where[order]
-        rank = np.arange(order.size) - (np.cumsum(count) - count)[where]
-        modes = np.zeros((count.max(), slots.size), np.int64)
-        vals = np.zeros((count.max(), len(values), slots.size), complex)
-        modes[rank, where] = self._source[order]
-        vals[rank, :, where] = self._writes(values)[:, order].T
+        stored = self._writes(values)
         size = self.grid.n ** 2 * (self.grid.n // 2 + 1)
-        comp = size * np.arange(len(values))[:, None]
-        return (comp + slots).ravel(), modes, vals
+        targets = size * np.arange(len(stored))[:, None] + self._targets
+        modes = np.tile(self._source, len(stored))
+        return targets.ravel(), modes, stored.ravel()
 
     def scatter_set(self, coeffs: np.ndarray, values) -> None:
         """Set the coefficients at every k; the slots must be distinct."""
@@ -508,26 +497,26 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
 # inner products and norms
 # ---------------------------------------------------------------------------
 
-def _pair_weights(grid: GridSpec) -> np.ndarray:
-    """Weight of each float of a stored rfft line (real and imaginary parts
-    interleaved): 2 for modes whose conjugate partner is implicit, else 1."""
-    n = grid.n
-    w = np.full((n // 2 + 1, 2), 2.0)
-    w[0] = 1.0
-    w[n // 2] = 1.0
-    return w.ravel()
+def _column_weights(n: int) -> np.ndarray:
+    """Weight of each stored rfft column k_z = 0..n/2: 1 on the columns
+    k_z = 0 and n/2, which store their conjugate partners too, and 2
+    elsewhere, where the partner is implicit."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[[0, n // 2]] = 1.0
+    return w
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
     """L^2 inner product; for tensors this is the integrated Frobenius
     pairing (off-diagonal components counted twice).  One einsum over the
     float views of the coefficients sums w (Re f Re g + Im f Im g) per
-    x-plane, so no full-size temporary is made and numpy's pairwise sum
-    adds the planes."""
+    x-plane, with w of ``_column_weights`` on both floats of a mode, so no
+    full-size temporary is made and numpy's pairwise sum adds the planes."""
     _check_same(f, g)
     fr, gr = (np.ascontiguousarray(h.coeffs, dtype=complex).view(float)
               for h in (f, g))
-    planes = np.einsum("cxyk,cxyk,k->cx", fr, gr, _pair_weights(f.grid))
+    w = np.repeat(_column_weights(f.grid.n), 2)   # (Re, Im) interleaved
+    planes = np.einsum("cxyk,cxyk,k->cx", fr, gr, w)
     total = planes.sum(axis=1)
     if f.rank == "symtensor3x3":
         total = total * SYM_WEIGHT

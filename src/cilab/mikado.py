@@ -264,6 +264,8 @@ def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
     """
     if lam < 1 or int(lam) != lam:
         raise ValueError("lambda must be a positive integer")
+    if sigma is not None and not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma={sigma} is not positive and finite")
     lam = int(lam)
     kvecs, mvecs = _profile_modes(family, row, lam, grid)
     m_eff = np.max(np.abs(mvecs))

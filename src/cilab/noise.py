@@ -10,12 +10,13 @@ mode draws what a new generator per mode would.
 
 Mode work goes through ``fields.ModeTable``.  Each grid keeps the table's
 ``write_plan`` of the fixed stamps, so a field of B or of its mollification,
-whose weights are real, is one gather of the weights, one multiply-add per
-polarization pass in mode order and one store into a zeroed half-spectrum;
-the projections <u, e_k> are one gather.  Path norms and the Ito sum of a
-fixed field run over all modes and samples at once; the mollification over
-all modes at once, one matrix product per block of output samples; the Ito
-sum of one field per sample over all modes of a few samples at a time.
+whose weights are real, is one gather of the weights, one product with the
+stored stamps and one ``np.add.at`` into a zeroed half-spectrum, which adds
+repeated slots in mode order; the projections <u, e_k> are one gather.
+Path norms and the Ito sum of a fixed field run over all modes and samples
+at once; the mollification over all modes at once, one matrix product per
+block of output samples; the Ito sum of one field per sample over all modes
+of a few samples at a time.
 """
 
 from dataclasses import dataclass, field
@@ -140,7 +141,7 @@ class NoisePath:
                                [m.polarization for m in spec.modes])
         self._roots = np.sqrt(spec.eigenvalues())
         self._k = np.array([m.k for m in spec.modes], dtype=np.int64)
-        self._grids = {}   # grid.n -> (ModeTable of self._k, its stamp plan)
+        self._grids = {}   # grid.n -> (ModeTable of self._k, its stamp writes)
 
     # -- field assembly --------------------------------------------------
     def _plan(self, grid: GridSpec):
@@ -151,13 +152,9 @@ class NoisePath:
         return self._grids[grid.n]
 
     def _assemble(self, weights: np.ndarray, grid: GridSpec) -> SpectralField:
-        _, slots, modes, stamps = self._plan(grid)
-        terms = weights[modes][:, None] * stamps
-        vals = 0.0 + terms[0]   # from +0, as a zeroed slot: zero sums are +0
-        for t in terms[1:]:     # the passes, in mode order
-            vals += t
+        _, targets, modes, stamps = self._plan(grid)
         f = zeros(grid, "vector3", mean_zero=True)
-        f.coeffs.reshape(-1)[slots] = vals.ravel()
+        np.add.at(f.coeffs.reshape(-1), targets, weights[modes] * stamps)
         return f
 
     def _sample_index(self, i: int) -> int:

@@ -195,7 +195,7 @@ def _refined_samples():
 def _direct_eval(f, pts):
     n = f.grid.n
     kx, ky, kz = f.grid.wavenumbers()
-    out = np.zeros((f.ncomp, pts.shape[1]))
+    out = np.zeros((len(f.coeffs), pts.shape[1]))
     c = f.coeffs
     idx = np.argwhere(np.abs(c).max(axis=0) > 1e-14 * np.abs(c).max())
     for (i, j, l) in idx:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cilab.ladder import ladder
-from cilab.cutoffs import (ChiFamily, EtaFamily, bump, bump_cdf, bump_deriv,
-                           smoothstep, smoothstep_deriv, window_count)
+from cilab.cutoffs import (ChiFamily, EtaFamily, bump, bump_deriv, smoothstep,
+                           smoothstep_deriv, window_count)
 
 
 class TestLadder:
@@ -257,9 +257,42 @@ class TestEta:
             for yk, wk in zip(y, wy):
                 sh = ((2.0 * eta.eps_tilt * self.tau / 3.0)
                       * np.sin(2 * np.pi * (x1 - yk)))
-                ref += wk * (bump_cdf((times[:, None] - sh - lo) / width)
-                             - bump_cdf((times[:, None] - sh - hi) / width))
+                ref += wk * (smoothstep((times[:, None] - sh - lo) / width)
+                             - smoothstep((times[:, None] - sh - hi) / width))
             assert np.array_equal(eta.values[i], ref)
+
+    def test_time_derivative_is_closed_form(self):
+        # eta_i is the slab indicator mollified in time by smoothstep', so
+        # d/dt eta_i is that kernel read at the two slab edges
+        tau = self.tau
+        eps_tilt, eps_moll = self.eta.eps_tilt, self.eta.eps_moll
+        width, tilt = eps_moll * tau, 2.0 * eps_tilt * tau / 3.0
+        lo = tau + eps_tilt * tau / 3.0
+        hi = tau + (3.0 - eps_tilt) * tau / 3.0
+        span = np.linspace(-tilt, tilt + width, 201)
+        t = np.concatenate([lo + span, hi + span])
+        h = width * 1e-5
+        eta = EtaFamily(tau, np.concatenate([t - h, t + h]), n_x1=16)
+        fd = (eta.values[1, len(t):] - eta.values[1, :len(t)]) / (2 * h)
+        x1 = np.arange(16) / 16
+        y = (np.arange(33) + 0.5) / 33 * eps_moll
+        wy = bump((2.0 * (y / eps_moll) - 1.0) ** 2)
+        wy /= wy.sum()
+        exact = np.zeros_like(fd)
+        for yk, wk in zip(y, wy):
+            sh = tilt * np.sin(2 * np.pi * (x1 - yk))
+            exact += wk * (smoothstep_deriv((t[:, None] - sh - lo) / width)
+                           - smoothstep_deriv((t[:, None] - sh - hi) / width))
+        exact /= width
+        assert np.max(np.abs(fd - exact)) < 1e-7 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("name, value", [
+        ("eps_moll", 0.0), ("eps_moll", -0.01), ("eps_moll", np.nan),
+        ("eps_moll", np.inf), ("eps_tilt", 0.0), ("eps_tilt", 1.0 / 3.0),
+        ("eps_tilt", 0.6), ("eps_tilt", np.nan)])
+    def test_rejects_parameter_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EtaFamily(self.tau, self.times, n_x1=16, **{name: value})
 
 
 def _eta_window_loop(eta):
@@ -284,8 +317,8 @@ def _eta_window_loop(eta):
         acc = np.zeros((len(tr), eta.n_x1))
         for yk, wk in zip(y, wy):
             sh = tilt * np.sin(2 * np.pi * (x1 - yk))
-            acc += wk * (bump_cdf((tr[:, None] - sh - lo) / width)
-                         - bump_cdf((tr[:, None] - sh - hi) / width))
+            acc += wk * (smoothstep((tr[:, None] - sh - lo) / width)
+                         - smoothstep((tr[:, None] - sh - hi) / width))
         ref[i, rows] = acc
     return ref
 

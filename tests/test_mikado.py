@@ -317,6 +317,13 @@ class TestMikadoFlow:
         with pytest.raises(ValueError, match="unresolvable"):
             build_mikado(0, 16, FAM0, GridSpec(32))
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.3, np.nan, np.inf])
+    def test_rejects_sigma_not_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            build_mikado(0, 2, FAM0, GridSpec(32), sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            build_family_flows(FAM0, 2, GridSpec(32), sigma=sigma)
+
     def test_spanning_second_moment(self):
         rng = np.random.default_rng(11)
         R = random_ball_matrix(rng, 0.3)
