@@ -22,6 +22,7 @@ import numpy as np
 
 _EPS_TILT = 0.25       # slab shrink fraction (epsilon in (0, 1/3))
 _EPS_MOLL = 1.0 / 64.0  # mollification fraction (epsilon_0)
+_ETA_BLOCK_POINTS = 32768  # per smoothstep call of an eta build (in cache)
 
 
 def smoothstep(s):
@@ -167,7 +168,7 @@ class EtaFamily:
         wy /= wy.sum()
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
         width = self.eps_moll * self.tau
-        shifts = [tilt * np.sin(2 * np.pi * (x1 - yk)) for yk in y]
+        shifts = tilt * np.sin(2 * np.pi * (x1 - y[:, None]))
         if self.straight_zero:
             vals[0] = self._straight0(t)[:, None]
         # smoothstep is exactly 0 below 0 and exactly 1 above 1, so each term
@@ -183,10 +184,13 @@ class EtaFamily:
                           & (t < (hi + tilt + 2.0 * width)[:, None]))
         tr, lo_r, hi_r = t[r, None], lo[w, None], hi[w, None]
         acc = np.zeros((len(r), self.n_x1))
-        for sh, wk in zip(shifts, wy):
-            arg_lo = (tr - sh[None, :] - lo_r) / width
-            arg_hi = (tr - sh[None, :] - hi_r) / width
-            acc += wk * (smoothstep(arg_lo) - smoothstep(arg_hi))
+        block = max(1, _ETA_BLOCK_POINTS // max(acc.size, 1))
+        for b in range(0, ny, block):
+            arg = tr - shifts[b:b + block, None, :]
+            up = smoothstep((arg - lo_r) / width)
+            down = smoothstep((arg - hi_r) / width)
+            for wk, u, d in zip(wy[b:b + block], up, down):
+                acc += wk * (u - d)
         vals[i[w], r] = acc
         self.values = vals
         if self.straight_zero:

@@ -90,6 +90,7 @@ _DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
 # an interpolant call takes at most one part per this many points, so a
 # small call runs on one thread
 _PART_POINTS = 8192
+_HALO_LO, _HALO_HI = 2, 3   # halo planes: taps at x in [0, nf) span -2..nf+2
 
 
 @dataclass
@@ -505,16 +506,19 @@ class SpectralInterpolant:
     Blu and Unser, IEEE TMI 2000), which reproduces the refined samples at
     the fine nodes and band-limited fields to ~(k_max / (pad_factor*n))^order.
     The prefilter is a Fourier multiplier: along each axis the copied modes
-    are divided by the symbol of the sampled spline, so one inverse
-    transform of all components, ``fields._inverse_transform`` on the
-    padded grid, gives the coefficients; on 2 usable CPUs it runs on 2
-    workers when the padded grid has more than 32^3 points, with the same
-    coefficients as on one.  The transform consumes the padded spectra, so
-    a build holds two arrays of the padded grid at its peak: those spectra
-    and the spline.  ``solve_flow_map`` frees its spent velocity spline
-    before each build, so at most one velocity spline is alive during one.
+    are divided by the symbol of the sampled spline, so an inverse
+    transform, ``fields._inverse_transform`` on the padded grid, gives the
+    coefficients; on 2 usable CPUs it runs on 2 workers when the padded
+    grid has more than 32^3 points, with the same coefficients as on one.
+    Each component in turn is transformed into the interior of ``halo``,
+    which wraps it periodically by ``_HALO_LO`` planes below and
+    ``_HALO_HI`` above on each axis; ``spline`` is that interior.  A build
+    holds the halo and one component's spectra and samples.
+    ``solve_flow_map`` frees its spent velocity spline before each build,
+    so at most one velocity spline is alive during one.
 
-    A call splits its points into min(usable CPUs, ceil(points /
+    A call reads every tap in the halo, at x = (point mod 1) nf +
+    ``_HALO_LO``.  It splits its points into min(usable CPUs, ceil(points /
     ``_PART_POINTS``)) contiguous parts and evaluates them through
     ``grids.run_parts``: the first on the calling thread, the others on
     threads the call starts and joins; ``map_coordinates`` releases the
@@ -527,24 +531,32 @@ class SpectralInterpolant:
     def __init__(self, f: SpectralField, pad_factor: int = 2, order: int = 6):
         if not 2 <= order <= 6:
             raise ValueError(f"interpolation order {order} not in 2..6")
+        if (not isinstance(pad_factor, (int, np.integer)) or pad_factor < 1
+                or pad_factor is True):
+            raise ValueError(f"pad_factor {pad_factor!r} not an integer >= 1")
         self.order = order
         n = f.grid.n
-        self.nf = n * pad_factor
-        c = f.coeffs
-        ncomp = c.shape[0]
-        big = np.zeros((ncomp, self.nf, self.nf, self.nf // 2 + 1),
-                       dtype=complex)
+        nf = self.nf = n * pad_factor
         h = n // 2
         # copy all modes except the (empty for band-limited fields) Nyquist
         # planes; negative frequencies go to the end of the padded axes
         k = np.r_[0:h, 1 - h:0]
-        src = k % n
-        dst = k % self.nf
-        inv = 1.0 / _spline_symbol(order - 1, k / self.nf)
-        big[np.ix_(range(ncomp), dst, dst, range(h))] = (
-            c[np.ix_(range(ncomp), src, src, range(h))]
-            * (inv[:, None, None] * inv[None, :, None] * inv[None, None, :h]))
-        self.spline = _inverse_transform(big)
+        src = np.ix_(k % n, k % n, range(h))
+        dst = np.ix_(k % nf, k % nf, range(h))
+        inv = 1.0 / _spline_symbol(order - 1, k / nf)
+        mult = inv[:, None, None] * inv[None, :, None] * inv[None, None, :h]
+        lo, hi = _HALO_LO, _HALO_HI
+        self.halo = np.empty((len(f.coeffs),) + (lo + nf + hi,) * 3)
+        core = slice(lo, lo + nf)
+        for comp, coef in zip(self.halo, f.coeffs):
+            spectra = np.zeros((nf, nf, nf // 2 + 1), dtype=complex)
+            spectra[dst] = coef[src] * mult
+            comp[core, core, core] = _inverse_transform(spectra)
+            for axis in range(3):   # then the wrapped faces along x, y, z
+                faces = np.moveaxis(comp, axis, 0)
+                faces[:lo] = faces[nf:nf + lo]
+                faces[lo + nf:] = faces[lo:lo + hi]
+        self.spline = self.halo[:, core, core, core]
 
     def __call__(self, points: np.ndarray, order: int | None = None) -> np.ndarray:
         """Values at points of shape (3, ...), as (ncomp, ...); ``order``, if
@@ -555,19 +567,21 @@ class SpectralInterpolant:
                              f"called with order {order}")
         shape = points.shape[1:]
         x = (points.reshape(3, -1) % 1.0) * self.nf
+        x[x == self.nf] = 0.0   # a tiny negative point gives (point mod 1) = 1
+        x += _HALO_LO
         m = x.shape[1]
-        out = np.empty((self.spline.shape[0], m))
+        out = np.empty((self.halo.shape[0], m))
         k = _part_count(m, _PART_POINTS, _usable_cpus())
 
         def evaluate(i):
             part = slice(m * i // k, m * (i + 1) // k)
-            for comp, coef in zip(out, self.spline):
+            for comp, coef in zip(out, self.halo):
                 ndimage.map_coordinates(coef, x[:, part], output=comp[part],
                                         order=self.order - 1,
-                                        mode="grid-wrap", prefilter=False)
+                                        mode="nearest", prefilter=False)
 
         run_parts((evaluate,), k)
-        return out.reshape((self.spline.shape[0],) + shape)
+        return out.reshape((self.halo.shape[0],) + shape)
 
 
 def _spline_symbol(degree: int, freq: np.ndarray) -> np.ndarray:
@@ -632,18 +646,20 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     previous map with a one-step backward characteristic solved by RK4;
     velocities and the previous displacement are evaluated off the grid by
     ``SpectralInterpolant`` with ``cfg.pad_factor`` and
-    ``cfg.interp_points``, whose calls split the grid nodes over the usable
-    CPUs; the split changes no value, so the map is that of a one-thread
-    evaluation, bit for bit.  The interpolant, and with it this tracing of
-    characteristics off the grid, is to be replaced by an Eulerian map
-    solved on the grid (ROADMAP direction 1).  Each substep's last stage
-    time is the next substep's first, so that velocity interpolant is built
-    once for both; a velocity whose coefficients equal those of the last
-    build (compared by value against a kept copy) reuses that build.  At
-    most one velocity spline is alive during a build: each stage drops the
-    spline it called, a new build frees the kept one first, and the kept
-    one is freed before the composition's build unless the interval reused
-    it throughout, as a constant velocity does.
+    ``cfg.interp_points``, whose calls read every tap from the spline's
+    wrapped halo and split the grid nodes over the usable CPUs; the split
+    changes no value, so the map is that of a one-thread evaluation, bit for
+    bit.  The interpolant, and with it this tracing of characteristics off
+    the grid, is to be replaced by an Eulerian map solved on the grid
+    (ROADMAP direction 1).  Each substep's last stage time is the next
+    substep's first, so that velocity interpolant is built once for both; a
+    velocity whose coefficients equal those of the last build (compared by
+    value against a kept copy) reuses that build.  At most one velocity
+    spline is alive during a build: each stage drops the spline it called, a
+    new build frees the kept one first, and the kept one is freed before the
+    composition's build unless the interval reused it throughout, as a
+    constant velocity does.  The RK4 sum takes each stage as it comes, so a
+    build sees two stage arrays.
     Substeps are chosen so each RK4 step sees
     dt*||grad u|| <= 0.1 (keeps the volume defect of the non-conservative
     integrator near rounding over admissible spans).
@@ -678,17 +694,19 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
         start = builds
         end = interp_at(t)
         for _ in range(n_substeps):
-            k1 = -end(pts)
+            k = -end(pts)   # then k1 + 2 k2 + 2 k3 + k4, summed in that order
             del end   # each stage holds only the spline it calls
             mid = interp_at(t - dt / 2)
-            k2 = -mid((pts + (dt / 2) * k1) % 1.0)
-            k3 = -mid((pts + (dt / 2) * k2) % 1.0)
+            stage = -mid((pts + (dt / 2) * k) % 1.0)
+            k += 2 * stage
+            stage = -mid((pts + (dt / 2) * stage) % 1.0)
+            k += 2 * stage
             del mid
             end = interp_at(t - dt)
-            k4 = -end((pts + dt * k3) % 1.0)
-            pts = (pts + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
+            k += -end((pts + dt * stage) % 1.0)
+            pts = (pts + (dt / 6) * k) % 1.0
             t -= dt
-        del end, k1, k2, k3, k4   # spent before the composition's build
+        del end, k, stage   # spent before the composition's build
         new_disp = _wrap(pts - mesh)
         if len(fm.times) > 1:
             if builds > start:

@@ -249,7 +249,8 @@ def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     ``irfftn`` ignores ``overwrite_x`` and copies the whole input for those
     two passes, so it holds three full arrays where this holds two; it runs
     the same passes in the same order, so the samples are bitwise its own.
-    Pass a copy to keep the spectra, as ``to_grid`` does.
+    Pass a copy to keep the spectra, as ``to_grid`` does.  Narrower spectra
+    read as zero-padded to n//2 + 1 columns, bitwise; ``irfft`` pads a copy.
     """
     n = coeffs.shape[-2]
     workers = _grid_parts(n ** 3, _usable_cpus())
@@ -464,32 +465,34 @@ def band_project(f: SpectralField, mode: str, cutoff: float) -> SpectralField:
                          f.mean_zero or mode == "geq")
 
 
+@lru_cache(maxsize=16)
 def mollifier_multiplier(grid: GridSpec, ell: float) -> np.ndarray:
     """rfftn multiplier of the rescaled unit-mass bump kernel phi_ell.
 
     The kernel bump(|x/ell|^2) on the ball |x| < ell is sampled on the
     grid (periodically wrapped) and normalized so its discrete integral is
     one; convolution is then exact for grid-sampled fields and constants are
-    preserved.
+    preserved.  Built once per (grid, ell), read-only.
     """
     if not 0.0 < ell < 1.0:
         raise ValueError("mollification length must lie in (0, 1)")
-    n = grid.n
-    if ell < grid.dx:
-        warnings.warn(f"mollifier width {ell} below one grid cell (1/{n}); "
-                      "kernel under-resolved")
     x = grid.axes()
     d = np.minimum(x, 1.0 - x)  # distance to 0 on the circle
     r2 = (d[:, None, None] ** 2 + d[None, :, None] ** 2
           + d[None, None, :] ** 2) / ell**2
     kern = bump(r2)
-    kern *= n**3 / kern.sum()
-    return _forward_transform(kern).real
+    kern *= grid.n**3 / kern.sum()
+    mult = _forward_transform(kern).real.copy()   # not a view of the spectra
+    mult.flags.writeable = False
+    return mult
 
 
 def mollify_space(f: SpectralField, ell: float) -> SpectralField:
     """Exact periodic convolution with the unit-mass bump kernel phi_ell."""
     mult = mollifier_multiplier(f.grid, ell)
+    if ell < f.grid.dx:
+        warnings.warn(f"mollifier width {ell} below one grid cell "
+                      f"(1/{f.grid.n}); kernel under-resolved")
     return SpectralField(f.grid, f.rank, f.coeffs * mult, f.mean_zero)
 
 

@@ -147,6 +147,33 @@ class TestInterpolant:
         with pytest.raises(ValueError, match="order"):
             SpectralInterpolant(zeros(GRID, "vector3"), order=order)
 
+    @pytest.mark.parametrize("pad_factor", [0, -1, 1.5, True])
+    def test_rejects_pad_factor_that_is_not_a_positive_integer(self,
+                                                               pad_factor):
+        with pytest.raises(ValueError, match="pad_factor"):
+            SpectralInterpolant(zeros(GRID, "vector3"), pad_factor=pad_factor)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_matches_wrapped_spline_at_every_point(self, order):
+        # the taps live in the halo, never wrapped or clamped by
+        # map_coordinates: every value is the periodic spline's.  -1e-17 % 1
+        # is exactly 1.0, so its coordinate is nf, the far edge of the box
+        from scipy import ndimage
+        interp = SpectralInterpolant(smooth_div_free(GridSpec(16), 4, seed=69),
+                                     order=order)
+        edge = np.array([0.0, -1e-17, 1.0 - 2.0 ** -53])
+        corners = np.stack(np.meshgrid(edge, edge, edge, indexing="ij"))
+        uniform = np.random.default_rng(order).uniform(-1.0, 2.0, (3, 2000))
+        pts = np.concatenate([corners.reshape(3, -1), uniform], axis=1)
+        x = (pts % 1.0) * interp.nf
+        assert np.any(x == interp.nf)
+        ref = np.stack([ndimage.map_coordinates(coef, x, order=order - 1,
+                                                mode="grid-wrap",
+                                                prefilter=False)
+                        for coef in interp.spline])
+        assert (np.max(np.abs(interp(pts) - ref))
+                <= 1e-13 * np.max(np.abs(ref)))
+
 
 class TestInterpolantParts:
     # four usable CPUs on any host: the counts take 1, 1, 2 and 4 parts
@@ -157,12 +184,12 @@ class TestInterpolantParts:
         monkeypatch.setattr(euler, "_usable_cpus", lambda: 4)
         interp = SpectralInterpolant(smooth_div_free(GridSpec(16), 4, seed=9))
         pts = np.random.default_rng(m).uniform(-1.0, 2.0, size=(3, m))
-        x = (pts % 1.0) * interp.nf
+        x = (pts % 1.0) * interp.nf + euler._HALO_LO
         ref = np.stack([ndimage.map_coordinates(coef, x,
                                                 order=interp.order - 1,
-                                                mode="grid-wrap",
+                                                mode="nearest",
                                                 prefilter=False)
-                        for coef in interp.spline])
+                        for coef in interp.halo])
         threads = threading.active_count()
         assert np.array_equal(interp(pts, order=order), ref)
         # the call's pool is joined before it returns

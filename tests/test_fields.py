@@ -299,6 +299,16 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify_space(f, 1.5)
 
+    def test_multiplier_built_once_read_only_and_warns_every_call(self):
+        g, ell = GridSpec(16), 0.5 / 16
+        mult = mollifier_multiplier(g, ell)
+        assert mollifier_multiplier(GridSpec(16), ell) is mult
+        assert not mult.flags.writeable and mult.base is None
+        f = random_band_limited(g, "scalar", 4, seed=18)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="under-resolved"):
+                mollify_space(f, ell)
+
     def test_multiplier_matches_reference(self):
         from scipy import fft
         n, ell = 16, 0.3

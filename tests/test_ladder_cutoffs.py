@@ -335,6 +335,23 @@ class TestEtaWindowBatch:
         assert eta.n_windows >= 90
         assert np.array_equal(eta.values, _eta_window_loop(eta))
 
+    def test_small_family_takes_one_smoothstep_call_per_edge(self,
+                                                              monkeypatch):
+        # the 25 times and 32 x1 nodes of a glued step: all 33 mollifier
+        # nodes of a slab edge go through one call
+        from cilab import cutoffs
+        shapes = []
+
+        def spy(s):
+            shapes.append(np.shape(s))
+            return smoothstep(s)
+
+        monkeypatch.setattr(cutoffs, "smoothstep", spy)
+        tau = 0.05
+        eta = EtaFamily(tau, np.arange(25) * tau / 12, n_x1=32)
+        assert [shape[0] for shape in shapes] == [33, 33]
+        assert np.array_equal(eta.values, _eta_window_loop(eta))
+
 
 def _overlap_all_pairs(eta):
     """Reference for EtaFamily.overlap_defect: every window pair, whole

@@ -119,6 +119,17 @@ class TestConsumingInverse:
         ref = fft.irfftn(c, s=(n,) * 3, axes=(1, 2, 3), norm="forward")
         assert np.array_equal(fields._inverse_transform(c), ref)
 
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_narrow_spectra_are_zero_padded(self, n, m):
+        # (..., n, n, m) with m < n/2 + 1 columns: the missing ones are zero
+        c = fft.rfftn(_white(n, 3, n + m), axes=(1, 2, 3),
+                      norm="forward")[..., :m]
+        wide = np.zeros(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        wide[..., :m] = c
+        assert np.array_equal(fields._inverse_transform(c.copy()),
+                              fields._inverse_transform(wide))
+
     @pytest.mark.parametrize("rank, ncomp", [("scalar", 1), ("vector3", 3)])
     def test_to_grid_and_c0_norm_keep_the_field(self, rank, ncomp):
         f = from_grid(_white(16, ncomp, 3), GridSpec(16), rank)
