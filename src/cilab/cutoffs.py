@@ -88,6 +88,17 @@ def window_count(tau: float, horizon: float) -> int:
     return int(np.floor(max(horizon - tau / 3.0, 0.0) / tau)) + 2
 
 
+def _time_samples(times) -> tuple[np.ndarray, float]:
+    """``times`` as a float array, and its largest time, the horizon;
+    ValueError naming them unless they hold a time and every one is finite."""
+    t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        raise ValueError("times must hold at least one time")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    return t, float(t.max())
+
+
 @dataclass
 class ChiFamily:
     """Temporal partition of unity for the gluing step."""
@@ -99,8 +110,8 @@ class ChiFamily:
     dvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        m = window_count(self.tau, float(t.max()))
+        t, horizon = _time_samples(self.times)
+        m = window_count(self.tau, horizon)
         self.n_windows = m
         third = self.tau / 3.0
         # s[i]: the ramp coordinate of I_{i-1} before t_i, where chi_i
@@ -150,9 +161,10 @@ class EtaFamily:
     zeta: np.ndarray = field(init=False)     # (n_times,)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        horizon = float(t.max())
+        t, horizon = _time_samples(self.times)
         window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
+        if not (isinstance(self.n_x1, (int, np.integer)) and self.n_x1 >= 1):
+            raise ValueError(f"n_x1={self.n_x1!r} is not an integer >= 1")
         if not 0.0 < self.eps_moll < np.inf:
             raise ValueError(f"eps_moll={self.eps_moll} is not positive "
                              "and finite")

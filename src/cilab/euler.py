@@ -107,10 +107,13 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
     tau <= min( (1/4) (||v0||_{C^{1+a}} + ||Z||_{C_T C^{2+a}})^{-1}, horizon ).
     ``z_c2_alpha`` is the caller's estimate of the drift norm (pass 0 for
     none); the limit is advisory at desk scale.  Either norm negative or not
-    finite raises ``ValueError``.
+    finite, or a horizon that is not positive (or nan), raises
+    ``ValueError``.
     """
     if not 0.0 <= z_c2_alpha < np.inf:
         raise ValueError(f"z_c2_alpha={z_c2_alpha} is negative or not finite")
+    if not horizon > 0.0:
+        raise ValueError(f"horizon={horizon} is not positive")
     order = 1.0 + alpha
     total = holder_norm(v0, order).value(order) + z_c2_alpha
     if not np.isfinite(total):
@@ -388,6 +391,19 @@ class _RK4:
         return new
 
 
+def _time_grid(times, name: str) -> np.ndarray:
+    """``times`` as a float array; ValueError naming it unless it holds at
+    least one time, every time is finite and they strictly increase."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError(f"{name} must hold at least one time")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"{name} must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return times
+
+
 def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                            out_times, cfg: SolverConfig | None = None):
     """Integrate the drifted Euler system from t0 over the requested times.
@@ -404,13 +420,9 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     ``RuntimeError`` naming the step and the time.
     """
     cfg = cfg or SolverConfig()
-    out_times = np.asarray(out_times, dtype=float)
-    if not np.all(np.isfinite(out_times)):
-        raise ValueError("out_times must be finite")
+    out_times = _time_grid(out_times, "out_times")
     if abs(out_times[0] - t0) > 1e-12:
         raise ValueError("out_times must start at t0")
-    if not np.all(np.diff(out_times) > 0):
-        raise ValueError("out_times must be strictly increasing")
     grid, n = v0.grid, v0.grid.n
     box = spectral_tables(n).box
     rk4 = _RK4(grid, z_eval)
@@ -604,7 +616,8 @@ def _spline_symbol(degree: int, freq: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class FlowMap:
-    """Periodic flow map of a velocity, anchored at ``anchor_time``.
+    """Periodic flow map of a velocity, the identity at ``times[0]``, the
+    anchor.
 
     Stores the displacement from identity at each requested time; gradients
     are spectral in the displacement, so volume preservation of the
@@ -613,16 +626,8 @@ class FlowMap:
 
     def __init__(self, grid: GridSpec, anchor_time: float):
         self.grid = grid
-        self.anchor_time = float(anchor_time)
         self.times = [float(anchor_time)]
         self.displacements = [np.zeros((3, grid.n, grid.n, grid.n))]
-
-    def index_of(self, t: float) -> int:
-        arr = np.asarray(self.times)
-        i = int(np.argmin(np.abs(arr - t)))
-        if abs(arr[i] - t) > 1e-9:
-            raise KeyError(f"flow map not sampled at t={t}")
-        return i
 
     def positions(self, i: int) -> np.ndarray:
         return (self.grid.mesh() + self.displacements[i]) % 1.0
@@ -641,9 +646,10 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
                    n_substeps: int | None = None) -> FlowMap:
     """Backward-characteristic flow map of u on the given time samples.
 
-    ``u_eval(t)`` returns the advecting velocity; ``times[0]`` is the
-    anchor where the map is the identity.  Each new sample composes the
-    previous map with a one-step backward characteristic solved by RK4;
+    ``u_eval(t)`` returns the advecting velocity; ``times``, finite and
+    strictly increasing, start at the anchor where the map is the identity.
+    Each new sample composes the previous map with a one-step backward
+    characteristic solved by RK4;
     velocities and the previous displacement are evaluated off the grid by
     ``SpectralInterpolant`` with ``cfg.pad_factor`` and
     ``cfg.interp_points``, whose calls read every tap from the spline's
@@ -665,7 +671,7 @@ def solve_flow_map(u_eval, times, grid: GridSpec,
     integrator near rounding over admissible spans).
     """
     cfg = cfg or SolverConfig()
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times, "times")
     fm = FlowMap(grid, times[0])
     mesh = grid.mesh()
     if n_substeps is None:

@@ -35,11 +35,14 @@ times its nine spectra and nine grids through ``irfftn``, and by 1.0 times
 through the two passes, whose samples are bitwise ``irfftn``'s.
 ``to_grid``, and ``c0_norm`` through it, hand the transform a copy, so no
 caller's field changes.  The callers whose spectra are their own scratch
-hand them over: ``gradient_tensor``, ``holder._derivative_levels``, the
-build of ``euler.SpectralInterpolant``, and the drifted solver's
-truncation and blow-up sup-norms.
+hand them over: ``derivative_grids``, the build of
+``euler.SpectralInterpolant``, and the drifted solver's truncation and
+blow-up sup-norms.
 
-``gradient_tensor`` is one batched inverse transform of its nine spectra.
+``derivative_grids`` samples every D^alpha f of one level |alpha| with one
+batched inverse transform.  ``holder_norm`` takes it per level; the CFL
+rule, the flow map's substep rule and ``FlowMap.grad`` read its first level
+through ``gradient_tensor``, with the two leading axes swapped.
 One ``gradient_tensor`` call, medians of 21 alternating calls
 on a 2-CPU host, in three runs: at n = 64, one transform per row of the
 Jacobian and a stack took 72-74 ms, the batched transform 59-62 ms on one
@@ -51,6 +54,7 @@ to end from two workers on every transform (``grids._GRID_PART_POINTS``).
 
 import warnings
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -373,16 +377,31 @@ def differential(f: SpectralField, op: str) -> SpectralField:
     raise ValueError(f"unknown differential op {op!r}")
 
 
+def derivative_grids(f: SpectralField, level: int) -> np.ndarray:
+    """Grid samples of every D^alpha f with |alpha| = ``level``, shape
+    (multi-indices, ncomp, n, n, n) in the order of
+    ``combinations_with_replacement``, from one inverse transform.  Each
+    spectrum is deriv[alpha[0]] * f.coeffs, written into the batch, times
+    the other factors of alpha in place."""
+    deriv = spectral_tables(f.grid.n).deriv
+    alphas = list(combinations_with_replacement(range(3), level))
+    c = np.empty((len(alphas),) + f.coeffs.shape, dtype=complex)
+    for spec, alpha in zip(c, alphas):
+        if not alpha:
+            spec[...] = f.coeffs
+            continue
+        np.multiply(deriv[alpha[0]], f.coeffs, out=spec)
+        for ax in alpha[1:]:
+            np.multiply(deriv[ax], spec, out=spec)
+    return _inverse_transform(c)
+
+
 def gradient_tensor(v: SpectralField) -> np.ndarray:
-    """Grid samples of the full Jacobian d_j v_i, shape (3, 3, n, n, n): the
-    nine spectra of ``_dcomp`` in one array, and one inverse transform."""
+    """Grid samples of the full Jacobian d_j v_i, shape (3, 3, n, n, n),
+    indexed [i, j]: ``derivative_grids(v, 1)`` with its axes swapped."""
     if v.rank != "vector3":
         raise ValueError("gradient_tensor expects a vector3 field")
-    deriv = spectral_tables(v.grid.n).deriv
-    c = np.empty((3, 3) + v.coeffs.shape[1:], dtype=complex)
-    for j in range(3):
-        np.multiply(deriv[j], v.coeffs, out=c[:, j])
-    return _inverse_transform(c)
+    return derivative_grids(v, 1).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ are lower bounds.  The kappa-quotient is the exact maximum over all
 axis-aligned grid pairs (x, x + h e_j) at the dyadic gaps h = 1, 2, 4, ...,
 n/2, so every estimate is deterministic and invariant under translation of
 the field by whole grid steps.
+
+The derivatives are sampled one level |alpha| at a time by
+``fields.derivative_grids``, one batched inverse transform per level, and
+only the top level is kept for the quotients.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate
 
 import numpy as np
 
-from .fields import SpectralField, _inverse_transform, _sup, spectral_tables
+from .fields import SpectralField, _sup, derivative_grids
 
 
 @dataclass
@@ -43,23 +47,6 @@ class HolderNormReport:
         return (self.c0, self.c1, self.c2)[n_whole] + self.seminorm
 
 
-def _derivative_levels(f: SpectralField, up_to: int):
-    """Grid samples of all derivatives D^alpha f grouped by |alpha|, with the
-    multipliers of ``fields.differential``: per level, one array of shape
-    (multi-indices, ncomp, n, n, n) from one batched inverse transform."""
-    deriv = spectral_tables(f.grid.n).deriv
-    out = {}
-    for level in range(up_to + 1):
-        alphas = list(combinations_with_replacement(range(3), level))
-        c = np.empty((len(alphas),) + f.coeffs.shape, dtype=complex)
-        for spec, alpha in zip(c, alphas):
-            spec[...] = f.coeffs
-            for ax in alpha:
-                np.multiply(deriv[ax], spec, out=spec)
-        out[level] = _inverse_transform(c)
-    return out
-
-
 def _seminorm(stacks, kappa: float) -> float:
     """Max of |f(x) - f(x + h e_j)| / (h/n)^kappa over every grid point x,
     axis j and dyadic gap h = 1, 2, 4, ..., n/2 (the torus distance)."""
@@ -78,19 +65,17 @@ def holder_norm(f: SpectralField, order: float) -> HolderNormReport:
     pairs at dyadic gaps.  The result is deterministic, invariant under
     whole-grid translations, and a lower bound of the continuum norm.
     """
-    n_whole = int(np.floor(order + 1e-12))
+    n_whole = float(np.floor(order + 1e-12))   # nan for a nan order
     kappa = order - n_whole
     if n_whole not in (0, 1, 2) or not 0.0 <= kappa < 1.0:
         raise ValueError("order must be N + kappa with N in {0,1,2}, "
                          "kappa in [0,1)")
-    levels = _derivative_levels(f, n_whole)
-    sums = {}
-    for level in sorted(levels):
-        sums[level] = sum(_sup(s) for s in levels[level])
-    c0 = sums[0]
-    c1 = c0 + sums.get(1, 0.0)
-    c2 = c1 + sums.get(2, 0.0)
-    seminorm = _seminorm(levels[n_whole], kappa) if kappa > 0.0 else 0.0
+    sums = [0.0, 0.0, 0.0]   # sup-norm sums of the derivatives per level
+    for level in range(int(n_whole) + 1):
+        grids = derivative_grids(f, level)
+        sums[level] = sum(_sup(s) for s in grids)
+    c0, c1, c2 = accumulate(sums)
+    seminorm = _seminorm(grids, kappa) if kappa > 0.0 else 0.0
     return HolderNormReport(order=order, c0=c0, c1=c1, c2=c2,
                             seminorm=seminorm)
 

@@ -87,7 +87,11 @@ class ParameterLadder:
 
     def _check_constraints(self) -> list:
         a, b, al, be = self.a, self.b, self.alpha, self.beta
-        out = []
+        out = [f"(range) {name}={value} is not finite" for name, value
+               in (("a", a), ("b", b), ("alpha", al), ("beta", be))
+               if not -np.inf < value < np.inf]
+        if not 0 < self.L < np.inf:
+            out.append(f"(range) L={self.L} is not positive and finite")
         if not (0 < be < 1 / 3):
             out.append("(range) beta outside (0, 1/3)")
         if not (1 < b < 2):

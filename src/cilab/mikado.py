@@ -196,8 +196,6 @@ class MikadoFlow:
 
     xi: np.ndarray
     lam: int
-    family_index: int
-    shift: np.ndarray
     grid: GridSpec
     mode_k: np.ndarray        # (M, 3) integer wavevectors (half list)
     mode_phi: np.ndarray      # (M,) complex coefficients of phi
@@ -262,6 +260,8 @@ def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
     (profile-cell units); by default sigma adapts to the number of
     resolvable harmonics so the spectral truncation tail stays near rounding.
     """
+    if not (isinstance(row, (int, np.integer)) and 0 <= row < 6):
+        raise ValueError(f"row {row!r} is not one of the family's rows 0..5")
     if lam < 1 or int(lam) != lam:
         raise ValueError("lambda must be a positive integer")
     if sigma is not None and not 0.0 < sigma < np.inf:
@@ -278,13 +278,10 @@ def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
     norm = np.sqrt(2.0 * np.sum(phi_hat**2))
     psi_hat /= norm
     phi_hat /= norm
-    shift = family.shifts[row]
-    phase = np.exp(-2j * np.pi * (kvecs @ shift))
-    return MikadoFlow(xi=family.directions()[row], lam=lam,
-                      family_index=family.index,
-                      shift=np.asarray(shift, float), grid=grid, mode_k=kvecs,
-                      mode_phi=phi_hat * phase, mode_psi=psi_hat * phase,
-                      sigma=float(sigma))
+    phase = np.exp(-2j * np.pi * (kvecs @ family.shifts[row]))
+    return MikadoFlow(xi=family.directions()[row], lam=lam, grid=grid,
+                      mode_k=kvecs, mode_phi=phi_hat * phase,
+                      mode_psi=psi_hat * phase, sigma=float(sigma))
 
 
 def build_family_flows(family: DirectionFamily, lam: int, grid: GridSpec,

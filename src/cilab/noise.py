@@ -68,6 +68,10 @@ class SpectrumSpec:
             return
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale={self.scale} is not positive and finite")
+        if not -np.inf < self.p < np.inf:
+            raise ValueError(f"p={self.p} is not finite")
         r = np.arange(-self.k_max, self.k_max + 1)
         ks = np.stack(np.meshgrid(r, r, r, indexing="ij"), -1).reshape(-1, 3)
         # in sorted order, one representative per +-k pair: the one whose

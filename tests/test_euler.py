@@ -9,7 +9,7 @@ import pytest
 from cilab import GridSpec, band_project, from_grid, leray_project, to_grid
 from cilab.fields import c0_norm, divergence_defect, inner, zeros
 from cilab.euler import (
-    FlowMap, SolverConfig, SpectralInterpolant, local_time_limit,
+    SolverConfig, SpectralInterpolant, local_time_limit,
     momentum_residual, solve_euler_with_drift, solve_flow_map,
     time_derivative,
 )
@@ -56,6 +56,13 @@ class TestLocalTimeLimit:
     def test_drift_bound_negative_or_not_finite(self, bound):
         with pytest.raises(ValueError, match="z_c2_alpha"):
             local_time_limit(zeros(GridSpec(8), "vector3"), bound)
+
+    # unchecked, min() drops a nan horizon and passes a negative one on
+    @pytest.mark.parametrize("horizon", [np.nan, 0.0, -1.0, -np.inf])
+    def test_horizon_not_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            local_time_limit(zeros(GridSpec(8), "vector3"), 0.0,
+                             horizon=horizon)
 
 
 class TestEulerSolver:
@@ -275,12 +282,6 @@ class TestFlowMap:
         bound = 1.1 * span * gmax * np.exp(span * gmax)
         assert dev <= bound
 
-    def test_index_of(self):
-        fm = FlowMap(GRID, 0.5)
-        assert fm.index_of(0.5) == 0
-        with pytest.raises(KeyError):
-            fm.index_of(0.7)
-
 
 class TestResidual:
     def test_time_derivative_accuracy(self):
@@ -430,6 +431,22 @@ class TestSolverInputs:
         v0 = smooth_div_free(GridSpec(16), 3, seed=20, amp=1.0)
         with pytest.raises(ValueError, match="out_times must be finite"):
             solve_euler_with_drift(v0, None, 0.0, times)
+
+    # unchecked, these end in IndexError or int(nan), and decreasing times
+    # give the flow map one substep whatever |grad u| is
+    @pytest.mark.parametrize("solver, times, message", [
+        ("drifted", [], "out_times must hold at least one time"),
+        ("flow_map", [], "times must hold at least one time"),
+        ("flow_map", [0.0, np.nan], "times must be finite"),
+        ("flow_map", [0.0, 0.02, 0.01], "times must be strictly increasing"),
+        ("flow_map", [0.0, 0.0], "times must be strictly increasing")])
+    def test_bad_time_grid_is_named(self, solver, times, message):
+        u = smooth_div_free(GridSpec(16), 3, seed=20, amp=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if solver == "drifted":
+                solve_euler_with_drift(u, None, 0.0, times)
+            else:
+                solve_flow_map(lambda t: u, times, GridSpec(16))
 
     def test_nan_initial_field(self):
         v0 = smooth_div_free(GridSpec(16), 3, seed=21, amp=1.0)

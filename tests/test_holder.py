@@ -58,6 +58,13 @@ def test_rejects_bad_order():
         holder_norm(f, 3.5)
 
 
+# unchecked, int(np.floor(nan)) fails before the order check runs
+@pytest.mark.parametrize("order", [np.nan, np.inf, -np.inf])
+def test_rejects_order_not_finite(order):
+    with pytest.raises(ValueError, match=r"order must be N \+ kappa"):
+        holder_norm(zeros(GridSpec(8), "scalar"), order)
+
+
 def test_lower_bound_of_known_seminorm():
     # f(x) = |sin(2 pi x1)|^0.5-like roughness: use a Weierstrass-type sum
     x = GRID.mesh()[0]

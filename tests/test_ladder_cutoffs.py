@@ -59,6 +59,21 @@ class TestLadder:
                    for v in lad.violations), lad.violations
         assert np.all(np.isfinite(lad.lam[:6])) and np.isinf(lad.lam[6])
 
+    @pytest.mark.parametrize("name, value", [
+        ("L", np.nan), ("L", -1.0), ("L", 0.0), ("L", np.inf),
+        ("a", np.nan), ("a", np.inf), ("b", np.nan), ("b", -np.inf),
+        ("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan),
+        ("beta", np.inf)])
+    def test_bad_real_parameter_is_a_range_violation(self, name, value):
+        # the admissible ladder of test_admissible_regime_exists with one
+        # parameter replaced; unchecked, L = nan gives tau all nan and
+        # L = -1 a negative tau, both with admissible=True
+        kw = dict(a=2.0**130, b=1.04, alpha=1e-4, beta=0.2, L=1)
+        kw[name] = value
+        lad = ladder(**kw, q_max=2)
+        assert not lad.admissible
+        assert any(v.startswith(f"(range) {name}=") for v in lad.violations)
+
     @given(st.floats(0.02, 0.32), st.floats(1.01, 1.9))
     @settings(max_examples=25, deadline=None)
     def test_ladder_never_crashes(self, beta, b):
@@ -206,6 +221,17 @@ class TestWindowLength:
             EtaFamily(tau, times, n_x1=16)
 
 
+class TestTimeSamples:
+    @pytest.mark.parametrize("times, message", [
+        ([], "hold at least one time"), ([np.nan], "be finite"),
+        ([0.0, np.nan, 0.1], "be finite"), ([0.0, np.inf], "be finite")])
+    def test_rejected_by_both_families(self, times, message):
+        with pytest.raises(ValueError, match=f"^times must {message}$"):
+            ChiFamily(0.05, times)
+        with pytest.raises(ValueError, match=f"^times must {message}$"):
+            EtaFamily(0.05, times, n_x1=16)
+
+
 class TestEta:
     def setup_method(self):
         self.tau = 0.05
@@ -289,10 +315,12 @@ class TestEta:
     @pytest.mark.parametrize("name, value", [
         ("eps_moll", 0.0), ("eps_moll", -0.01), ("eps_moll", np.nan),
         ("eps_moll", np.inf), ("eps_tilt", 0.0), ("eps_tilt", 1.0 / 3.0),
-        ("eps_tilt", 0.6), ("eps_tilt", np.nan)])
+        ("eps_tilt", 0.6), ("eps_tilt", np.nan), ("n_x1", 0), ("n_x1", -1),
+        ("n_x1", 2.5)])
     def test_rejects_parameter_out_of_range(self, name, value):
+        kw = {"n_x1": 16, name: value}
         with pytest.raises(ValueError, match=name):
-            EtaFamily(self.tau, self.times, n_x1=16, **{name: value})
+            EtaFamily(self.tau, self.times, **kw)
 
 
 def _eta_window_loop(eta):

@@ -324,6 +324,12 @@ class TestMikadoFlow:
         with pytest.raises(ValueError, match="sigma"):
             build_family_flows(FAM0, 2, GridSpec(32), sigma=sigma)
 
+    # unchecked, row -1 builds row 5's pipe and row 6 raises IndexError
+    @pytest.mark.parametrize("row", [-1, 6, 2.0])
+    def test_rejects_row_outside_the_family(self, row):
+        with pytest.raises(ValueError, match="row"):
+            build_mikado(row, 2, FAM0, GRID)
+
     def test_spanning_second_moment(self):
         rng = np.random.default_rng(11)
         R = random_ball_matrix(rng, 0.3)

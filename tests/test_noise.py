@@ -100,6 +100,14 @@ class TestSpectrum:
     def test_trace_monotone_in_s(self):
         assert trace(SPEC, 0.0) <= trace(SPEC, 1.0) <= trace(SPEC, 2.0)
 
+    # unchecked, a path's mode roots sqrt(c_k) are nan, inf or all 0
+    @pytest.mark.parametrize("name, value", [
+        ("scale", 0.0), ("scale", -1.0), ("scale", np.nan),
+        ("scale", np.inf), ("p", np.nan), ("p", np.inf), ("p", -np.inf)])
+    def test_rejects_a_spectrum_without_finite_roots(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}="):
+            SpectrumSpec(**{name: value})
+
 
 class TestSamplePath:
     def test_deterministic(self):
