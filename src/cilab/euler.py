@@ -301,7 +301,7 @@ def _advection_rhs(v: SpectralField,
     out = np.zeros_like(v.coeffs)
     c = v.coeffs[box]
     out[box] = _Advection(v.grid)(c, z, c)
-    return SpectralField(v.grid, "vector3", out, mean_zero=True)
+    return SpectralField(v.grid, "vector3", out)
 
 
 def _weighted_abs(c: np.ndarray, n: int) -> np.ndarray:
@@ -317,11 +317,11 @@ def _sup_bounds(u: SpectralField) -> tuple[float, float]:
     """Upper bounds of max_x |u_i| and max_x |d_j u_i| over i and j, from one
     pass over |c|: sum_k w_k |c_ik| and sum_k w_k |2 pi k'_j| |c_ik|, with
     the weights w_k of ``_weighted_abs`` and k'_j read from
-    ``spectral_tables`` (0 on the plane k_j = n/2, as in ``_dcomp``).  They
-    hold for any stored array, whatever its k_z = 0 plane, Nyquist planes or
-    modes outside the 2/3 box, and carry
-    ``_BOUND_SLACK`` over the grid maxima the transforms compute.  A
-    non-finite spectrum gives nan or inf."""
+    ``spectral_tables`` (0 on the plane k_j = n/2, as in ``differential``).
+    They hold for any stored array, whatever its k_z = 0 plane, Nyquist
+    planes or modes outside the 2/3 box, and carry ``_BOUND_SLACK`` over the
+    grid maxima the transforms compute.  A non-finite spectrum gives nan or
+    inf."""
     n = u.grid.n
     a = _weighted_abs(u.coeffs, n)
     d = [np.abs(line.imag).ravel() for line in spectral_tables(n).deriv]
@@ -434,7 +434,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
         z = rk4.drift(t)
         _check_same(v, z)
         np.add(v.coeffs, z.coeffs, out=u_mem)
-        return SpectralField(grid, v.rank, u_mem, v.mean_zero and z.mean_zero)
+        return SpectralField(grid, v.rank, u_mem)
 
     def full(c: np.ndarray) -> np.ndarray:
         """v0's coefficients with the box array ``c`` in the box."""
@@ -496,7 +496,7 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
                 what = ("field magnitude blow-up" if np.isfinite(size)
                         else "non-finite state or drift")
                 raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")
-        v = SpectralField(grid, "vector3", full(w), v0.mean_zero)
+        v = SpectralField(grid, "vector3", full(w))
         fields.append(v)
         u = with_drift(v, b)
         energies.append(inner(u, u))

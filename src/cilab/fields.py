@@ -5,7 +5,8 @@ Normalization: a field with coefficient array ``c`` represents
 Parseval reads ``integral |f|^2 dx = sum_k |c_k|^2`` (sum over the full
 integer lattice; storage is the rfftn half-spectrum, the other half is the
 complex conjugate).  Every grid transform uses ``norm="forward"``, so grid
-samples and coefficients need no rescaling.
+samples and coefficients need no rescaling.  A field is its coefficients:
+the mean is the stored ``c_0``, never cached, and every operation carries it.
 
 The spectral calculus takes its Fourier multipliers from one per-n table,
 ``spectral_tables(n)``.  Its one rule for the Nyquist planes: d/dx_j is 0 on
@@ -74,9 +75,11 @@ SYM_WEIGHT = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
 
 
 class SpectralField:
-    """Real scalar/vector/symmetric-tensor field, held spectrally."""
+    """Real scalar/vector/symmetric-tensor field, held spectrally.  Its mean
+    is the stored c_0, never a cached flag: the construction keyword of
+    ``__init__`` zeroes c_0 once, and the property of that name reads it."""
 
-    __slots__ = ("grid", "rank", "coeffs", "mean_zero")
+    __slots__ = ("grid", "rank", "coeffs")
 
     def __init__(self, grid: GridSpec, rank: str, coeffs: np.ndarray,
                  mean_zero: bool = False):
@@ -91,28 +94,28 @@ class SpectralField:
         self.grid = grid
         self.rank = rank
         self.coeffs = coeffs
-        self.mean_zero = mean_zero
         if mean_zero:
             self.coeffs[:, 0, 0, 0] = 0.0
 
+    @property
+    def mean_zero(self) -> bool:
+        """Whether the stored mean c_0 is 0 in every component."""
+        return not self.coeffs[:, 0, 0, 0].any()
+
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.rank, self.coeffs.copy(),
-                             self.mean_zero)
+        return SpectralField(self.grid, self.rank, self.coeffs.copy())
 
     # -- light arithmetic (same grid and rank) --------------------------
     def __add__(self, other):
         _check_same(self, other)
-        return SpectralField(self.grid, self.rank, self.coeffs + other.coeffs,
-                             self.mean_zero and other.mean_zero)
+        return SpectralField(self.grid, self.rank, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return SpectralField(self.grid, self.rank, self.coeffs - other.coeffs,
-                             self.mean_zero and other.mean_zero)
+        return SpectralField(self.grid, self.rank, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.rank, self.coeffs * scalar,
-                             self.mean_zero)
+        return SpectralField(self.grid, self.rank, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -132,17 +135,12 @@ class SpectralField:
 
     def hermitian_defect(self) -> float:
         """Max violation of c(-k) = conj(c(k)) on the self-conjugate planes."""
-        out = 0.0
+        out, r = 0.0, -np.arange(self.grid.n) % self.grid.n   # k -> -k
         for plane in (0, self.grid.n // 2):
             p = self.coeffs[:, :, :, plane]
-            q = np.conj(p[:, _reflect(self.grid.n), :][:, :, _reflect(self.grid.n)])
+            q = np.conj(p[:, r][:, :, r])
             out = max(out, float(np.max(np.abs(p - q))))
         return out
-
-
-def _reflect(n: int):
-    idx = (-np.arange(n)) % n
-    return idx
 
 
 def _check_same(a: SpectralField, b: SpectralField):
@@ -263,10 +261,10 @@ def _inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     return _fft.irfft(lines, n=n, axis=-1, norm="forward", workers=workers)
 
 
-def zeros(grid: GridSpec, rank: str, mean_zero: bool = False) -> SpectralField:
+def zeros(grid: GridSpec, rank: str) -> SpectralField:
     ncomp = RANK_COMPONENTS[rank]
     c = np.zeros((ncomp, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
-    return SpectralField(grid, rank, c, mean_zero)
+    return SpectralField(grid, rank, c)
 
 
 def from_grid(samples: np.ndarray, grid: GridSpec, rank: str,
@@ -341,39 +339,30 @@ def spectral_tables(n: int) -> SpectralTables:
                           (slice(None),) + box, box_deriv, box_inv_lap)
 
 
-def _dcomp(grid: GridSpec, comp: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients of d/dx_axis."""
-    return spectral_tables(grid.n).deriv[axis] * comp
-
-
 def differential(f: SpectralField, op: str) -> SpectralField:
     """grad (scalar -> vector3), div (vector3 -> scalar, symtensor3x3 ->
     vector3) or curl (vector3 -> vector3)."""
-    g = f.grid
+    g, d, c = f.grid, spectral_tables(f.grid.n).deriv, f.coeffs
     if op == "grad":
         if f.rank != "scalar":
             raise ValueError("grad expects a scalar field")
-        c = np.stack([_dcomp(g, f.coeffs[0], a) for a in range(3)])
-        return SpectralField(g, "vector3", c, mean_zero=True)
+        grad = np.stack([d[a] * c[0] for a in range(3)])
+        return SpectralField(g, "vector3", grad)
     if op == "div":
         if f.rank == "vector3":
-            c = sum(_dcomp(g, f.coeffs[a], a) for a in range(3))
-            return SpectralField(g, "scalar", c[None], mean_zero=True)
+            div = sum(d[a] * c[a] for a in range(3))
+            return SpectralField(g, "scalar", div[None])
         if f.rank == "symtensor3x3":
-            rows = []
-            for i in range(3):
-                rows.append(sum(_dcomp(g, f.coeffs[SYM_SLOT[(i, j)]], j)
-                                for j in range(3)))
-            return SpectralField(g, "vector3", np.stack(rows), mean_zero=True)
+            rows = [sum(d[j] * c[SYM_SLOT[(i, j)]] for j in range(3))
+                    for i in range(3)]
+            return SpectralField(g, "vector3", np.stack(rows))
         raise ValueError("div expects a vector3 or symtensor3x3 field")
     if op == "curl":
         if f.rank != "vector3":
             raise ValueError("curl expects a vector3 field")
-        cx = _dcomp(g, f.coeffs[2], 1) - _dcomp(g, f.coeffs[1], 2)
-        cy = _dcomp(g, f.coeffs[0], 2) - _dcomp(g, f.coeffs[2], 0)
-        cz = _dcomp(g, f.coeffs[1], 0) - _dcomp(g, f.coeffs[0], 1)
-        return SpectralField(g, "vector3", np.stack([cx, cy, cz]),
-                             mean_zero=True)
+        curl = [d[1] * c[2] - d[2] * c[1], d[2] * c[0] - d[0] * c[2],
+                d[0] * c[1] - d[1] * c[0]]
+        return SpectralField(g, "vector3", np.stack(curl))
     raise ValueError(f"unknown differential op {op!r}")
 
 
@@ -424,7 +413,7 @@ def leray_project(v: SpectralField) -> SpectralField:
     tab = spectral_tables(v.grid.n)
     c = v.coeffs.copy()
     _leray(c, tab.deriv, tab.inv_lap)
-    return SpectralField(v.grid, "vector3", c, v.mean_zero)
+    return SpectralField(v.grid, "vector3", c)
 
 
 def divergence_defect(v: SpectralField) -> float:
@@ -452,7 +441,7 @@ def inverse_divergence(v: SpectralField) -> SpectralField:
         if i == j:
             t = t - 0.5 * s
         out[slot] = t - 0.5 * (d[i] * (lap_inv * (d[j] * s)))
-    return SpectralField(v.grid, "symtensor3x3", out, mean_zero=True)
+    return SpectralField(v.grid, "symtensor3x3", out)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +469,7 @@ def band_project(f: SpectralField, mode: str, cutoff: float) -> SpectralField:
         mask = ~keep
     else:
         raise ValueError("mode must be 'leq' or 'geq'")
-    return SpectralField(g, f.rank, f.coeffs * mask,
-                         f.mean_zero or mode == "geq")
+    return SpectralField(g, f.rank, f.coeffs * mask)
 
 
 @lru_cache(maxsize=16)
@@ -512,7 +500,7 @@ def mollify_space(f: SpectralField, ell: float) -> SpectralField:
     if ell < f.grid.dx:
         warnings.warn(f"mollifier width {ell} below one grid cell "
                       f"(1/{f.grid.n}); kernel under-resolved")
-    return SpectralField(f.grid, f.rank, f.coeffs * mult, f.mean_zero)
+    return SpectralField(f.grid, f.rank, f.coeffs * mult)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,14 @@ import numpy as np
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _power_base(a) -> float:
+    """a as a float for a^x: inf past the float range, nan unless a > 0."""
+    try:
+        return float(a) if a > 0 else math.nan
+    except OverflowError:   # an integer beyond the float range
+        return math.inf
+
+
 @dataclass
 class ParameterLadder:
     a: float
@@ -47,10 +55,11 @@ class ParameterLadder:
         if self.mode == "cauchy" and self.beta_bar is None:
             raise ValueError("cauchy mode needs beta_bar")
         n = self.q_max + 3  # keep delta_{q+2} available at q_max
+        a = _power_base(self.a)
         lam = np.empty(n)
         overflow = []
         for q in range(n):
-            log_lam = self.b ** q * math.log(self.a) if self.a > 1 else 0.0
+            log_lam = self.b ** q * math.log(a) if a > 1 else 0.0
             if q in self.overrides:
                 lam[q] = self.overrides[q]
             elif log_lam > _LOG_FLOAT_MAX:
@@ -59,7 +68,7 @@ class ParameterLadder:
                                 f"float: log lambda_{q} = {log_lam:.4g} > "
                                 f"{_LOG_FLOAT_MAX:.4g}")
             else:
-                lam[q] = float(np.ceil(self.a ** (self.b ** q)))
+                lam[q] = float(np.ceil(a ** (self.b ** q)))
         delta = np.empty(n)
         delta[0] = 16.0 * lam[1] ** (3 * self.alpha)
         delta[1] = 4.0 * lam[1] ** (3 * self.alpha)
@@ -86,10 +95,12 @@ class ParameterLadder:
         return (self.L + self.N_init) ** 2
 
     def _check_constraints(self) -> list:
-        a, b, al, be = self.a, self.b, self.alpha, self.beta
+        a, b, al, be = _power_base(self.a), self.b, self.alpha, self.beta
         out = [f"(range) {name}={value} is not finite" for name, value
-               in (("a", a), ("b", b), ("alpha", al), ("beta", be))
+               in (("b", b), ("alpha", al), ("beta", be))
                if not -np.inf < value < np.inf]
+        if not a < np.inf:
+            out.insert(0, f"(range) a={self.a} is not a positive finite float")
         if not 0 < self.L < np.inf:
             out.append(f"(range) L={self.L} is not positive and finite")
         if not (0 < be < 1 / 3):

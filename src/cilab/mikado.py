@@ -63,11 +63,10 @@ class DirectionFamily:
     """One certified 6-direction family with frames, shifts and solver."""
 
     index: int
-    numerators: np.ndarray          # (6,3) int, directions * denominator
-    denominator: int
+    numerators: np.ndarray          # (6,3) int, directions * n_star
     frame_a: np.ndarray             # (6,3) int unit vectors, A_xi
-    frame_b: np.ndarray             # (6,3) int, (xi x A_xi) * denominator
-    n_star: int
+    frame_b: np.ndarray             # (6,3) int, (xi x A_xi) * n_star
+    n_star: int                     # the common denominator
     shifts: np.ndarray              # (6,3) floats in [0,1)
     gram: np.ndarray = field(init=False)
     gram_inv: np.ndarray = field(init=False)
@@ -92,24 +91,19 @@ class DirectionFamily:
                                          axis=1))
 
     def _validate_rational(self):
-        den = self.denominator
         for row in range(6):
             xi, a, b = self.numerators[row], self.frame_a[row], self.frame_b[row]
-            if int(xi @ xi) != den * den:
+            if int(xi @ xi) != self.n_star ** 2:
                 raise CertificationError(f"{tuple(xi)} is not a unit vector")
             if int(a @ a) != 1 or int(xi @ a) != 0:
                 raise CertificationError(f"bad frame for {tuple(xi)}")
             if not np.array_equal(np.cross(xi, a), b):
                 raise CertificationError(f"frame_b mismatch for {tuple(xi)}")
-            if int(b @ b) != den * den:
+            if int(b @ b) != self.n_star ** 2:
                 raise CertificationError(f"|xi x A| != 1 for {tuple(xi)}")
-        # n_star * {xi, A, xi x A} must be integer vectors: exact by storage,
-        # verify minimality
-        if self.n_star != den:
-            raise CertificationError("n_star must equal the denominator")
 
     def directions(self) -> np.ndarray:
-        return self.numerators / self.denominator
+        return self.numerators / self.n_star
 
     def certified_radius(self) -> float:
         """Exact radius (Frobenius) of the ball around Id on which all
@@ -143,9 +137,8 @@ def build_direction_family(index: int) -> DirectionFamily:
             raise CertificationError("families are not disjoint")
     fa = np.stack([_axis_frame(r) for r in numer])
     fb = np.stack([np.cross(numer[i], fa[i]) for i in range(6)])
-    return DirectionFamily(index=index, numerators=numer,
-                           denominator=_DENOMINATOR, frame_a=fa, frame_b=fb,
-                           n_star=_DENOMINATOR,
+    return DirectionFamily(index=index, numerators=numer, frame_a=fa,
+                           frame_b=fb, n_star=_DENOMINATOR,
                            shifts=np.array(_FAMILY_SHIFTS[index]))
 
 
@@ -204,7 +197,7 @@ class MikadoFlow:
 
     def _field(self, values: np.ndarray) -> SpectralField:
         rank = "scalar" if len(values) == 1 else "vector3"
-        f = zeros(self.grid, rank, mean_zero=True)
+        f = zeros(self.grid, rank)
         ModeTable(self.mode_k, self.grid).scatter_set(f.coeffs, values)
         return f
 

@@ -87,7 +87,12 @@ class SpectrumSpec:
         b = np.cross(khat, a)
         for k, k2, da, db in zip(ks.tolist(), np.sum(ks**2, 1).tolist(),
                                  a.tolist(), b.tolist()):
-            c = self.scale * (1.0 + k2) ** (-self.p)
+            try:
+                c = self.scale * (1.0 + k2) ** (-self.p)
+            except OverflowError:   # the power alone overflows
+                c = np.inf
+            if c == np.inf:
+                raise ValueError(f"p={self.p}: c_k overflows at |k|^2 = {k2}")
             self.modes += [NoiseMode(tuple(k), 1, c, tuple(da)),
                            NoiseMode(tuple(k), 2, c, tuple(db))]
 
@@ -157,7 +162,7 @@ class NoisePath:
 
     def _assemble(self, weights: np.ndarray, grid: GridSpec) -> SpectralField:
         _, targets, modes, stamps = self._plan(grid)
-        f = zeros(grid, "vector3", mean_zero=True)
+        f = zeros(grid, "vector3")
         np.add.at(f.coeffs.reshape(-1), targets, weights[modes] * stamps)
         return f
 

@@ -32,8 +32,6 @@ def random_band_limited(grid, rank, kmax, seed, mean_zero=False, div_free=False)
     raw = rng.standard_normal((ncomp, n, n, n))
     f = from_grid(raw, grid, rank, mean_zero=mean_zero)
     f = band_project(f, "leq", kmax)
-    if mean_zero:
-        f.coeffs[:, 0, 0, 0] = 0.0
     if div_free:
         f = leray_project(f)
     return f
@@ -87,6 +85,38 @@ def _full_spectrum(c):
     for kz in range(n // 2 + 1, n):
         full[..., kz] = np.conj(c[:, neg][:, :, neg][..., n - kz])
     return full
+
+
+class TestMean:
+    @pytest.mark.parametrize("write", ["set_mode", "coeffs"])
+    def test_a_given_mean_survives_every_operation(self, write):
+        # a field built mean-free and given a mean later: the mean is c_0,
+        # which every operation carries like any other mode
+        f = random_band_limited(GRID, "vector3", 6, seed=30, mean_zero=True)
+        assert f.mean_zero
+        m = np.array([0.5, -1.0, 2.0])
+        if write == "set_mode":
+            f.set_mode((0, 0, 0), m)
+        else:
+            f.coeffs[:, 0, 0, 0] = m
+        assert not f.mean_zero
+        g = random_band_limited(GRID, "vector3", 6, seed=31)
+        g_mean = g.coeffs[:, 0, 0, 0]
+        assert not g.mean_zero
+        exact = {"copy": (f.copy(), m), "add": (f + g, m + g_mean),
+                 "sub": (f - g, m - g_mean), "mul": (f * 2.0, 2.0 * m),
+                 "rmul": (2.0 * f, 2.0 * m), "neg": (-f, -m),
+                 "leray": (leray_project(f), m),
+                 "band": (band_project(f, "leq", 4.0), m)}
+        for name, (h, mean) in exact.items():
+            assert np.array_equal(h.coeffs[:, 0, 0, 0], mean), name
+            assert not h.mean_zero, name
+        # the unit-mass kernel's multiplier at k = 0 is 1 up to rounding
+        mollified = mollify_space(f, 0.2).coeffs[:, 0, 0, 0]
+        assert np.allclose(mollified, m, rtol=1e-13, atol=0.0)
+        f.coeffs[:, 0, 0, 0] = 0.0
+        assert f.mean_zero and (f * 2.0).mean_zero
+        assert band_project(g, "geq", 4.0).mean_zero
 
 
 class TestInner:

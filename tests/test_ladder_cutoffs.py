@@ -61,7 +61,8 @@ class TestLadder:
 
     @pytest.mark.parametrize("name, value", [
         ("L", np.nan), ("L", -1.0), ("L", 0.0), ("L", np.inf),
-        ("a", np.nan), ("a", np.inf), ("b", np.nan), ("b", -np.inf),
+        ("a", np.nan), ("a", np.inf), ("a", 2**2000), ("a", -3.0),
+        ("a", 0.0), ("b", np.nan), ("b", -np.inf),
         ("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan),
         ("beta", np.inf)])
     def test_bad_real_parameter_is_a_range_violation(self, name, value):

@@ -52,7 +52,7 @@ class TestDirectionFamily:
             assert np.all(fam.numerators == np.asarray(fam.numerators, int))
             for row in range(6):
                 xi = fam.numerators[row]
-                assert int(xi @ xi) == fam.denominator ** 2
+                assert int(xi @ xi) == fam.n_star ** 2
                 # n_star * xi is trivially integer; check minimality
                 assert np.gcd.reduce(np.abs(xi[xi != 0])) == 1
 
@@ -271,7 +271,7 @@ class TestMikadoFlow:
         g = GridSpec(n)
         flow = build_mikado(row, lam, FAM1, g)
         nl = FAM1.n_star * lam
-        ref = {name: zeros(g, rank, mean_zero=True) for name, rank in
+        ref = {name: zeros(g, rank) for name, rank in
                (("phi", "scalar"), ("Psi", "scalar"), ("W", "vector3"),
                 ("V", "vector3"))}
         assert (flow.mode_k[:, 2] < 0).any() and (flow.mode_k[:, 2] == 0).any()

@@ -20,7 +20,7 @@ def _rel(got, ref):
 
 def _assemble_loop(path, weights, grid):
     """Reference field assembly: one get_mode/set_mode per mode."""
-    f = zeros(grid, "vector3", mean_zero=True)
+    f = zeros(grid, "vector3")
     for w, mode in zip(weights, path.spec.modes):
         if w != 0.0:
             f.set_mode(mode.k, f.get_mode(mode.k) + w * mode.stamp())
@@ -103,7 +103,8 @@ class TestSpectrum:
     # unchecked, a path's mode roots sqrt(c_k) are nan, inf or all 0
     @pytest.mark.parametrize("name, value", [
         ("scale", 0.0), ("scale", -1.0), ("scale", np.nan),
-        ("scale", np.inf), ("p", np.nan), ("p", np.inf), ("p", -np.inf)])
+        ("scale", np.inf), ("p", np.nan), ("p", np.inf), ("p", -np.inf),
+        ("p", -1000.0)])
     def test_rejects_a_spectrum_without_finite_roots(self, name, value):
         with pytest.raises(ValueError, match=f"^{name}="):
             SpectrumSpec(**{name: value})
