@@ -146,16 +146,15 @@ class EtaFamily:
     """Squiggling space-time cutoffs (plus the Cauchy-mode variants).
 
     Values are held on (time grid) x (x1 grid); the fields depend on x only
-    through x1.  ``straight_zero`` replaces eta_0 by the straight temporal
-    cutoff and adds the zeta ramp used to seed the energy before t_1.
+    through x1.  Slabs shrink by ``_EPS_TILT``, mollify by ``_EPS_MOLL``.
+    ``straight_zero`` replaces eta_0 by the straight temporal cutoff and adds
+    the zeta ramp used to seed the energy before t_1.
     """
 
     tau: float
     times: np.ndarray
     n_x1: int
     straight_zero: bool = False
-    eps_tilt: float = _EPS_TILT
-    eps_moll: float = _EPS_MOLL
     n_windows: int = field(init=False)
     values: np.ndarray = field(init=False)   # (n_windows, n_times, n_x1)
     zeta: np.ndarray = field(init=False)     # (n_times,)
@@ -165,21 +164,21 @@ class EtaFamily:
         window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
         if not (isinstance(self.n_x1, (int, np.integer)) and self.n_x1 >= 1):
             raise ValueError(f"n_x1={self.n_x1!r} is not an integer >= 1")
-        if not 0.0 < self.eps_moll < np.inf:
-            raise ValueError(f"eps_moll={self.eps_moll} is not positive "
-                             "and finite")
-        if not 0.0 < self.eps_tilt < 1.0 / 3.0:
-            raise ValueError(f"eps_tilt={self.eps_tilt} is not in (0, 1/3)")
+        eps_tilt, eps_moll = _EPS_TILT, _EPS_MOLL   # read at each build
+        if not 0.0 < eps_moll < np.inf:
+            raise ValueError(f"eps_moll={eps_moll} is not positive and finite")
+        if not 0.0 < eps_tilt < 1.0 / 3.0:
+            raise ValueError(f"eps_tilt={eps_tilt} is not in (0, 1/3)")
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
-        tilt = 2.0 * self.eps_tilt * self.tau / 3.0
+        tilt = 2.0 * eps_tilt * self.tau / 3.0
         # x-mollification nodes: average the shift over the kernel
         ny = 33
-        y = (np.arange(ny) + 0.5) / ny * self.eps_moll
-        wy = bump((2.0 * (y / self.eps_moll) - 1.0) ** 2)
+        y = (np.arange(ny) + 0.5) / ny * eps_moll
+        wy = bump((2.0 * (y / eps_moll) - 1.0) ** 2)
         wy /= wy.sum()
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
-        width = self.eps_moll * self.tau
+        width = eps_moll * self.tau
         shifts = tilt * np.sin(2 * np.pi * (x1 - y[:, None]))
         if self.straight_zero:
             vals[0] = self._straight0(t)[:, None]
@@ -190,8 +189,8 @@ class EtaFamily:
         # A window is live for (1 + 2 eps_tilt / 3 + 3 eps_moll) tau, 1.21 tau
         # at the defaults, so the rows number about 1.2 times the times.
         i = np.arange(int(self.straight_zero), self.n_windows)
-        lo = i * self.tau + self.eps_tilt * self.tau / 3.0
-        hi = i * self.tau + (3.0 - self.eps_tilt) * self.tau / 3.0
+        lo = i * self.tau + eps_tilt * self.tau / 3.0
+        hi = i * self.tau + (3.0 - eps_tilt) * self.tau / 3.0
         w, r = np.nonzero((t > (lo - tilt - width)[:, None])
                           & (t < (hi + tilt + 2.0 * width)[:, None]))
         tr, lo_r, hi_r = t[r, None], lo[w, None], hi[w, None]

@@ -47,7 +47,7 @@ which take no transform.  An output interval gets one RK4 step when
 span (n U + G) <= ``_CFL_FACTOR`` for the bounds U >= max|u| and
 G >= max|grad u| of u = v + Z; the exact rule ``_cfl_dt`` would give one
 step too.  A state passes the blow-up guard when its bound U is within
-``cfg.blowup_guard``.  Only when a bound cannot settle the answer (a large
+``_BLOWUP_GUARD``.  Only when a bound cannot settle the answer (a large
 bound, or nan or inf) do the grid transforms run, and then they decide as
 before, so the step counts and the outputs are those of the exact rules.
 The head forms each RK4 stage v + c k; u = v + Z of an output time lives in
@@ -91,20 +91,20 @@ _DIV_TERMS = (((0, 0), (1, 2), (2, 3)),
 # small call runs on one thread
 _PART_POINTS = 8192
 _HALO_LO, _HALO_HI = 2, 3   # halo planes: taps at x in [0, nf) span -2..nf+2
+_BLOWUP_GUARD = 1e6   # a drifted solve stops once max |v| may exceed this
 
 
 @dataclass
 class SolverConfig:
     pad_factor: int = 2        # FFT refinement for off-grid evaluation
     interp_points: int = 6     # B-spline stencil width per axis (2..6)
-    blowup_guard: float = 1e6
 
 
 def local_time_limit(v0: SpectralField, z_c2_alpha: float,
-                     alpha: float = 0.05, horizon: float = np.inf) -> float:
+                     horizon: float = np.inf) -> float:
     """Admissible gluing window from grid-estimated norms.
 
-    tau <= min( (1/4) (||v0||_{C^{1+a}} + ||Z||_{C_T C^{2+a}})^{-1}, horizon ).
+    tau <= min((1/4) (||v0||_{C^{1.05}} + ||Z||_{C_T C^{2.05}})^{-1}, horizon).
     ``z_c2_alpha`` is the caller's estimate of the drift norm (pass 0 for
     none); the limit is advisory at desk scale.  Either norm negative or not
     finite, or a horizon that is not positive (or nan), raises
@@ -114,8 +114,7 @@ def local_time_limit(v0: SpectralField, z_c2_alpha: float,
         raise ValueError(f"z_c2_alpha={z_c2_alpha} is negative or not finite")
     if not horizon > 0.0:
         raise ValueError(f"horizon={horizon} is not positive")
-    order = 1.0 + alpha
-    total = holder_norm(v0, order).value(order) + z_c2_alpha
+    total = holder_norm(v0, 1.05).value(1.05) + z_c2_alpha
     if not np.isfinite(total):
         raise ValueError("the Hoelder estimate of v0 is not finite")
     if total <= 0:
@@ -404,8 +403,7 @@ def _time_grid(times, name: str) -> np.ndarray:
     return times
 
 
-def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
-                           out_times, cfg: SolverConfig | None = None):
+def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float, out_times):
     """Integrate the drifted Euler system from t0 over the requested times.
 
     ``z_eval`` is a callable t -> SpectralField (or None for no drift);
@@ -416,10 +414,9 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
     step-doubling truncation estimate, and the kinetic energy of v+Z at
     each output time, and ``cfl_exact``, the number of output intervals
     whose step count needed the grid transforms of ``_cfl_dt``.  A state or
-    drift that is not finite, or a state beyond ``cfg.blowup_guard``, raises
+    drift that is not finite, or a state beyond ``_BLOWUP_GUARD``, raises
     ``RuntimeError`` naming the step and the time.
     """
-    cfg = cfg or SolverConfig()
     out_times = _time_grid(out_times, "out_times")
     if abs(out_times[0] - t0) > 1e-12:
         raise ValueError("out_times must start at t0")
@@ -490,9 +487,9 @@ def solve_euler_with_drift(v0: SpectralField, z_eval, t0: float,
             n_steps += 1
             box_sums = _weighted_abs(w, n).sum(axis=(1, 2, 3))
             size = float((rest + box_sums).max()) * _BOUND_SLACK
-            if not size <= cfg.blowup_guard:   # the bound cannot settle it
+            if not size <= _BLOWUP_GUARD:   # the bound cannot settle it
                 size = _sup(_inverse_transform(full(w)))
-            if not size <= cfg.blowup_guard:   # also catches nan
+            if not size <= _BLOWUP_GUARD:   # also catches nan
                 what = ("field magnitude blow-up" if np.isfinite(size)
                         else "non-finite state or drift")
                 raise RuntimeError(f"{what} at step {n_steps} (t={t:.4f})")

@@ -16,12 +16,12 @@ import numpy as np
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _power_base(a) -> float:
-    """a as a float for a^x: inf past the float range, nan unless a > 0."""
+def _real(x) -> float:
+    """x as a float: +-inf for an integer beyond the float range."""
     try:
-        return float(a) if a > 0 else math.nan
-    except OverflowError:   # an integer beyond the float range
-        return math.inf
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 @dataclass
@@ -55,11 +55,12 @@ class ParameterLadder:
         if self.mode == "cauchy" and self.beta_bar is None:
             raise ValueError("cauchy mode needs beta_bar")
         n = self.q_max + 3  # keep delta_{q+2} available at q_max
-        a = _power_base(self.a)
+        a = _real(self.a) if self.a > 0 else math.nan
+        b, al, be, L = map(_real, (self.b, self.alpha, self.beta, self.L))
         lam = np.empty(n)
         overflow = []
         for q in range(n):
-            log_lam = self.b ** q * math.log(a) if a > 1 else 0.0
+            log_lam = b ** q * math.log(a) if a > 1 else 0.0
             if q in self.overrides:
                 lam[q] = self.overrides[q]
             elif log_lam > _LOG_FLOAT_MAX:
@@ -68,41 +69,41 @@ class ParameterLadder:
                                 f"float: log lambda_{q} = {log_lam:.4g} > "
                                 f"{_LOG_FLOAT_MAX:.4g}")
             else:
-                lam[q] = float(np.ceil(a ** (self.b ** q)))
+                lam[q] = float(np.ceil(a ** (b ** q)))
         delta = np.empty(n)
-        delta[0] = 16.0 * lam[1] ** (3 * self.alpha)
-        delta[1] = 4.0 * lam[1] ** (3 * self.alpha)
+        delta[0] = 16.0 * lam[1] ** (3 * al)
+        delta[1] = 4.0 * lam[1] ** (3 * al)
         for q in range(2, n):
-            delta[q] = (lam[2] ** (2 * self.beta) * lam[q] ** (-2 * self.beta)
-                        * lam[1] ** (3 * self.alpha))
+            delta[q] = (lam[2] ** (2 * be) * lam[q] ** (-2 * be)
+                        * lam[1] ** (3 * al))
         ell = np.empty(n - 1)
         for q in range(n - 1):
-            ell[q] = np.sqrt(delta[q + 1] / delta[q]) / lam[q] ** (1 + 6 * self.alpha)
+            ell[q] = np.sqrt(delta[q + 1] / delta[q]) / lam[q] ** (1 + 6 * al)
         iota = lam ** (-4.0 / 3.0)
-        amp = self.L if self.mode == "onsager" else self.M_L
-        tau = 1.0 / (amp * lam ** (1 + 6 * self.alpha) * np.sqrt(delta))
+        amp = L if self.mode == "onsager" else self.M_L
+        tau = 1.0 / (amp * lam ** (1 + 6 * al) * np.sqrt(delta))
         varsigma = delta.copy()
         if n > 2:
             varsigma[2] = self.K * delta[2]
         self.lam, self.delta, self.ell = lam, delta, ell
         self.iota, self.tau, self.varsigma = iota, tau, varsigma
-        self.violations = overflow[:1] + self._check_constraints()
+        self.violations = overflow[:1] + self._check_constraints(
+            a, b, al, be, L)
         self.admissible = not self.violations
 
     @property
     def M_L(self) -> float:
         """Cauchy-mode amplitude constant (L + N)^2."""
-        return (self.L + self.N_init) ** 2
+        return (_real(self.L) + self.N_init) ** 2
 
-    def _check_constraints(self) -> list:
-        a, b, al, be = _power_base(self.a), self.b, self.alpha, self.beta
+    def _check_constraints(self, a, b, al, be, L) -> list:
         out = [f"(range) {name}={value} is not finite" for name, value
                in (("b", b), ("alpha", al), ("beta", be))
                if not -np.inf < value < np.inf]
         if not a < np.inf:
             out.insert(0, f"(range) a={self.a} is not a positive finite float")
-        if not 0 < self.L < np.inf:
-            out.append(f"(range) L={self.L} is not positive and finite")
+        if not 0 < L < np.inf:
+            out.append(f"(range) L={L} is not positive and finite")
         if not (0 < be < 1 / 3):
             out.append("(range) beta outside (0, 1/3)")
         if not (1 < b < 2):

@@ -193,7 +193,6 @@ class MikadoFlow:
     mode_k: np.ndarray        # (M, 3) integer wavevectors (half list)
     mode_phi: np.ndarray      # (M,) complex coefficients of phi
     mode_psi: np.ndarray      # (M,) complex coefficients of Psi
-    sigma: float
 
     def _field(self, values: np.ndarray) -> SpectralField:
         rank = "scalar" if len(values) == 1 else "vector3"
@@ -244,26 +243,19 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
     return ks[live], ms[live]
 
 
-def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
-                 sigma: float | None = None) -> MikadoFlow:
+def build_mikado(row: int, lam: int, family: DirectionFamily,
+                 grid: GridSpec) -> MikadoFlow:
     """Build the pipe flow of the family's direction ``row`` at frequency
-    ``lam``.
-
-    The cross-section profile is a periodized Gaussian of width ``sigma``
-    (profile-cell units); by default sigma adapts to the number of
-    resolvable harmonics so the spectral truncation tail stays near rounding.
-    """
+    ``lam``.  Its cross-section is a periodized Gaussian whose width sigma
+    (profile-cell units) adapts to the number of resolvable harmonics, so
+    the spectral truncation tail stays near rounding."""
     if not (isinstance(row, (int, np.integer)) and 0 <= row < 6):
         raise ValueError(f"row {row!r} is not one of the family's rows 0..5")
     if lam < 1 or int(lam) != lam:
         raise ValueError("lambda must be a positive integer")
-    if sigma is not None and not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma={sigma} is not positive and finite")
     lam = int(lam)
     kvecs, mvecs = _profile_modes(family, row, lam, grid)
-    m_eff = np.max(np.abs(mvecs))
-    if sigma is None:
-        sigma = min(max(1.1 / m_eff, 0.10), 0.80)
+    sigma = min(max(1.1 / np.max(np.abs(mvecs)), 0.10), 0.80)
     msq = (mvecs**2).sum(axis=1).astype(float)
     psi_hat = np.exp(-2.0 * np.pi**2 * sigma**2 * msq)
     phi_hat = 4.0 * np.pi**2 * msq * psi_hat
@@ -274,14 +266,13 @@ def build_mikado(row: int, lam: int, family: DirectionFamily, grid: GridSpec,
     phase = np.exp(-2j * np.pi * (kvecs @ family.shifts[row]))
     return MikadoFlow(xi=family.directions()[row], lam=lam, grid=grid,
                       mode_k=kvecs, mode_phi=phi_hat * phase,
-                      mode_psi=psi_hat * phase, sigma=float(sigma))
+                      mode_psi=psi_hat * phase)
 
 
-def build_family_flows(family: DirectionFamily, lam: int, grid: GridSpec,
-                       sigma: float | None = None) -> list:
+def build_family_flows(family: DirectionFamily, lam: int,
+                       grid: GridSpec) -> list:
     """All six pipe flows of a family at the same frequency."""
-    return [build_mikado(row, lam, family, grid, sigma)
-            for row in range(6)]
+    return [build_mikado(row, lam, family, grid) for row in range(6)]
 
 
 def second_moment(flow: MikadoFlow) -> np.ndarray:

@@ -12,11 +12,10 @@ Mode work goes through ``fields.ModeTable``.  Each grid keeps the table's
 ``write_plan`` of the fixed stamps, so a field of B or of its mollification,
 whose weights are real, is one gather of the weights, one product with the
 stored stamps and one ``np.add.at`` into a zeroed half-spectrum, which adds
-repeated slots in mode order; the projections <u, e_k> are one gather.
-Path norms and the Ito sum of a fixed field run over all modes and samples
-at once; the mollification over all modes at once, one matrix product per
-block of output samples; the Ito sum of one field per sample over all modes
-of a few samples at a time.
+repeated slots in mode order.  Path norms run over all modes and samples at
+once; the mollification over all modes at once, one matrix product per
+block of output samples; the Ito sum over all modes of a few samples at a
+time, the projections <u(t_j), e_k> of each sample one gather.
 """
 
 from dataclasses import dataclass, field
@@ -178,11 +177,6 @@ class NoisePath:
         i = self._sample_index(i)
         return self._assemble(self._roots * self.beta[:, i], grid)
 
-    def project(self, u: SpectralField) -> np.ndarray:
-        """All inner products <u, e_k> at once."""
-        cu = self._plan(u.grid)[0].gather(u.coeffs)       # (3, M)
-        return 2.0 * np.real(np.einsum("cm,mc->m", cu, np.conj(self._stamps)))
-
     def index_of(self, t: float) -> int:
         """Index of the sample nearest t; ValueError if t is off the path."""
         return self._sample_index(int(round(t / self.dt)))
@@ -226,7 +220,6 @@ class MollifiedPath:
         self.weights = w * path.dt / total        # sum to 1 exactly
         dw = bump_deriv(r) * 2.0 / iota
         self.dweights = dw * path.dt / total
-        self.lags = np.arange(1, n_taps)
         # mollified per-mode coordinates and their time derivative, B taken
         # as 0 before time 0: z(t_i) = sum_lag w[lag-1] B(t_{i-lag}).  Each
         # block of _BLOCK outputs from t_{i0} on is one product with the
@@ -336,37 +329,29 @@ def stopping_time(path: NoisePath, L: float, alpha: float, gamma: float,
 # Ito integrals
 # ---------------------------------------------------------------------------
 
-def ito_integral(u_samples, path: NoisePath, n_steps: int | None = None) -> np.ndarray:
+def ito_integral(u_samples, path: NoisePath) -> np.ndarray:
     """Left-endpoint sums of <u(t_j), B(t_{j+1}) - B(t_j)>.
 
-    ``u_samples`` is a sequence of vector fields on the path's time grid (or
-    a single field, treated as constant in time).  Returns the running
-    integral, one entry per sample time.
+    ``u_samples`` holds one vector field per sample of the path's time
+    grid.  Returns the running integral, one entry per sample time.
     """
-    n = path.n_steps if n_steps is None else n_steps
-    if not 0 <= n <= path.n_steps:
-        raise ValueError(f"n_steps={n} outside the path's {path.n_steps} "
-                         "steps")
-    single = isinstance(u_samples, SpectralField)
-    if not single and len(u_samples) < n + 1:
+    n = path.n_steps
+    if len(u_samples) < n + 1:
         raise ValueError("u_samples does not cover the path time grid")
-    db = path._roots[:, None] * path.increments[:, :n]       # (M, n)
-    if single:
-        steps = path.project(u_samples) @ db
-    else:
-        # <u(t_j), e_k> for _ITO_CHUNK samples at a time, from the stored
-        # slots of each sample gathered into one reused buffer.  Where the
-        # table stores a mode conjugated, conjugating its stamp instead
-        # leaves the real part of each product, and so <u, e_k>, unchanged
-        conj = path._plan(u_samples[0].grid)[0].conj[:, None]
-        stamps = np.where(conj, path._stamps, np.conj(path._stamps))
-        cu = np.empty((_ITO_CHUNK, 3, path.spec.n_modes), complex)
-        steps = np.empty(n)
-        for j0 in range(0, n, _ITO_CHUNK):
-            m = min(_ITO_CHUNK, n - j0)
-            for buf, u in zip(cu, u_samples[j0:j0 + m]):
-                np.take(u.coeffs.reshape(len(u.coeffs), -1),
-                        path._plan(u.grid)[0].slot, axis=1, out=buf)
-            proj = 2.0 * np.real(np.einsum("jcm,mc->jm", cu[:m], stamps))
-            steps[j0:j0 + m] = np.einsum("jm,mj->j", proj, db[:, j0:j0 + m])
+    db = path._roots[:, None] * path.increments                 # (M, n)
+    # <u(t_j), e_k> for _ITO_CHUNK samples at a time, from the stored slots
+    # of each sample gathered into one reused buffer.  Where the table
+    # stores a mode conjugated, conjugating its stamp instead leaves the
+    # real part of each product, and so <u, e_k>, unchanged
+    conj = path._plan(u_samples[0].grid)[0].conj[:, None]
+    stamps = np.where(conj, path._stamps, np.conj(path._stamps))
+    cu = np.empty((_ITO_CHUNK, 3, path.spec.n_modes), complex)
+    steps = np.empty(n)
+    for j0 in range(0, n, _ITO_CHUNK):
+        m = min(_ITO_CHUNK, n - j0)
+        for buf, u in zip(cu, u_samples[j0:j0 + m]):
+            np.take(u.coeffs.reshape(len(u.coeffs), -1),
+                    path._plan(u.grid)[0].slot, axis=1, out=buf)
+        proj = 2.0 * np.real(np.einsum("jcm,mc->jm", cu[:m], stamps))
+        steps[j0:j0 + m] = np.einsum("jm,mj->j", proj, db[:, j0:j0 + m])
     return np.concatenate([[0.0], np.cumsum(steps)])

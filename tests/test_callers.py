@@ -1,8 +1,12 @@
 """Every function, class and method of the library has a caller in the
 library or in the benchmark, or waits in ``AWAITING`` with the reason it
-stays.  Names are read from the syntax tree, so comments and docstrings
-do not count as callers, and a method counts as called only through an
-attribute (``x.name``), not through a bare name such as a local variable.
+stays; and every option of the library, a parameter or dataclass field
+with a default, is set by such a caller, or waits in ``OPTIONS_AWAITING``.
+Names are read from the syntax tree, so comments and docstrings do not
+count as callers.  A module-level definition counts as called through a
+bare name that the file reads and does not bind, or through an attribute
+read off an imported module (``noise.trace``); a method counts as called
+through any attribute (``x.name``).
 
 Names are matched, not objects, so two collisions are settled first.  A
 benchmark reference to a name the benchmark defines itself is its own and
@@ -44,6 +48,31 @@ AWAITING = {
     "stamp": "one mode's basis coefficient, the reference of the batched "
              "noise stamps",
     "grad": "ROADMAP direction 8: grad Phi of the flow map for the step",
+    "trace": "ROADMAP directions 6 and 7: Tr((I - Lap)^s GG*), the noise "
+             "budget of the drift bound and of the stopping norm",
+}
+
+# option -> the reason it stays; an option is "Owner.parameter" for a
+# function or a class (its dataclass fields or __init__ parameters) and
+# "Class.method.parameter" for a method
+OPTIONS_AWAITING = {
+    "EtaFamily.straight_zero": "ROADMAP direction 4: the straight eta_0 "
+                               "and zeta ramp that seed the energy",
+    "ParameterLadder.beta_bar": "ROADMAP direction 10, ask first: the "
+                                "Cauchy ladder",
+    "ParameterLadder.K": "ROADMAP direction 10, ask first: the Cauchy ladder",
+    "ParameterLadder.N_init": "ROADMAP direction 10, ask first: the Cauchy "
+                              "ladder",
+    "ladder.mode": "ROADMAP direction 10, ask first: the Cauchy ladder",
+    "stopping_time.kind": "ROADMAP direction 7: the sup-norm stopping time",
+    "SpectrumSpec.modes": "the spectrum's one representation, derived from "
+                          "k_max unless given",
+    "SolverConfig.pad_factor": "ROADMAP direction 1 deletes the interpolant",
+    "SolverConfig.interp_points": "ROADMAP direction 1 deletes the "
+                                  "interpolant",
+    "solve_flow_map.cfg": "ROADMAP direction 1 deletes the interpolant",
+    "solve_flow_map.n_substeps": "ROADMAP direction 1 replaces the "
+                                 "characteristics",
 }
 
 # name -> {defining class or module: "file:function" that calls it}
@@ -60,6 +89,14 @@ def _is_def(node):
     return isinstance(node, (ast.FunctionDef, ast.ClassDef))
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _parse(paths):
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def _definitions():
     """Module-level functions and classes with the modules that define
     them, and methods other than dunders with the classes that define
@@ -71,35 +108,67 @@ def _definitions():
             if isinstance(node, ast.ClassDef):
                 for m in node.body:
                     if (isinstance(m, ast.FunctionDef)
-                            and not (m.name.startswith("__")
-                                     and m.name.endswith("__"))):
+                            and not _is_dunder(m.name)):
                         methods.setdefault(m.name, set()).add(node.name)
     return names, methods
 
 
-def _references(paths):
-    """Every name referenced in ``paths``, and those referenced as
-    attributes."""
+def _bound(tree):
+    """Names that ``tree`` binds other than by an import, a module-level
+    definition or a method: targets, parameters, nested definitions and
+    exception names."""
+    top = {id(n) for n in tree.body if _is_def(n)}
+    top |= {id(m) for n in tree.body if isinstance(n, ast.ClassDef)
+            for m in n.body}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif _is_def(node) and id(node) not in top:
+            out.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.add(node.name)
+    return out
+
+
+def _references(trees):
+    """The names that ``trees`` read as module-level definitions, and every
+    attribute they read."""
     names, attrs = set(), set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+    for tree in trees:
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names}
+        bound = _bound(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id not in bound):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names | attrs, attrs
+                if (isinstance(node.value, ast.Name)
+                        and node.value.id in imported):
+                    names.add(node.attr)
+    return names, attrs
+
+
+def _own(trees):
+    """Every name that ``trees`` define, at any depth."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if _is_def(node)}
 
 
 def _callers():
     """The references of the library and those of the benchmark to names
     the benchmark does not define, and the attributes among them."""
-    own = {node.name for path in BENCHMARK
-           for node in ast.walk(ast.parse(path.read_text())) if _is_def(node)}
-    lib_used, lib_attrs = _references(LIBRARY_CALLERS)
-    bench_used, bench_attrs = _references(BENCHMARK)
-    return lib_used | (bench_used - own), lib_attrs | (bench_attrs - own)
+    bench = _parse(BENCHMARK)
+    own = _own(bench)
+    lib_names, lib_attrs = _references(_parse(LIBRARY_CALLERS))
+    bench_names, bench_attrs = _references(bench)
+    return lib_names | (bench_names - own), lib_attrs | (bench_attrs - own)
 
 
 def _attributes_in(where):
@@ -113,6 +182,151 @@ def _attributes_in(where):
     return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
+# ---------------------------------------------------------------------------
+# options
+# ---------------------------------------------------------------------------
+
+def _signature(fn, skip):
+    """Parameter names of ``fn`` in positional order (less the first
+    ``skip``), the defaulted ones, and the name of its ``**`` parameter."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    params = positional[skip:] + [p.arg for p in a.kwonlyargs]
+    return params, set(defaulted), a.kwarg.arg if a.kwarg else None
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def _dataclass_signature(cls):
+    """Init fields of a dataclass in order, and the defaulted ones."""
+    params, defaulted = [], set()
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        value, kw = node.value, {}
+        is_field = (isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) == "field")
+        if is_field:
+            kw = {k.arg: k.value for k in value.keywords}
+            if (isinstance(kw.get("init"), ast.Constant)
+                    and kw["init"].value is False):
+                continue
+        params.append(node.target.id)
+        if value is not None and (
+                not is_field or {"default", "default_factory"} & kw.keys()):
+            defaulted.add(node.target.id)
+    return params, defaulted, None
+
+
+def _signatures(library):
+    """(key prefix, called name) -> (parameters in call order, defaulted
+    ones, ``**`` parameter) of every module-level function, class and
+    method of ``library`` other than dunders; a class is called by its
+    name with its dataclass fields or its ``__init__`` parameters."""
+    out = {}
+    for tree in library:
+        for node in filter(_is_def, tree.body):
+            if isinstance(node, ast.FunctionDef):
+                out[node.name, node.name] = _signature(node, 0)
+                continue
+            if _is_dataclass(node):
+                out[node.name, node.name] = _dataclass_signature(node)
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef):
+                    continue
+                if m.name == "__init__":
+                    out[node.name, node.name] = _signature(m, 1)
+                elif not _is_dunder(m.name):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    out[f"{node.name}.{m.name}", m.name] = _signature(
+                        m, 0 if static else 1)
+    return out
+
+
+def _dicts(tree):
+    """Module-level names bound to ``dict(k=...)`` or ``{"k": ...}``, with
+    their keys."""
+    out = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        v = node.value
+        if isinstance(v, ast.Call) and getattr(v.func, "id", None) == "dict":
+            out[node.targets[0].id] = {k.arg for k in v.keywords if k.arg}
+        elif isinstance(v, ast.Dict):
+            out[node.targets[0].id] = {k.value for k in v.keys
+                                       if isinstance(k, ast.Constant)}
+    return out
+
+
+def _calls(trees, own=frozenset()):
+    """Every call in ``trees`` of a name other than ``own`` and dunders:
+    (called name, positional count or None after a ``*``, keywords set),
+    and the forwards (enclosing function, called name) of calls that pass
+    the enclosing function's ``**`` parameter on."""
+    calls, forwards = [], set()
+
+    def visit(node, tree_dicts, fn, kwarg):
+        if isinstance(node, ast.FunctionDef):
+            fn, kwarg = node.name, node.args.kwarg and node.args.kwarg.arg
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name and name not in own and not _is_dunder(name):
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords if k.arg}
+                for k in node.keywords:
+                    if k.arg is None and isinstance(k.value, ast.Name):
+                        keywords |= tree_dicts.get(k.value.id, set())
+                        if k.value.id == kwarg:
+                            forwards.add((fn, name))
+                calls.append((name, None if star else len(node.args),
+                              frozenset(keywords)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, tree_dicts, fn, kwarg)
+
+    for tree in trees:
+        visit(tree, _dicts(tree), None, None)
+    return calls, forwards
+
+
+def _options(library, callers, bench=()):
+    """Every option of ``library`` outside ``AWAITING``, and those that no
+    call in ``callers``, or in ``bench`` of a name ``bench`` does not
+    define, sets by keyword, by position, through ``**`` of a module-level
+    dict or through a forwarded ``**`` parameter."""
+    sigs = _signatures(library)
+    calls, forwards = _calls(callers)
+    bench_calls, bench_forwards = _calls(bench, _own(bench))
+    todo, seen, given = calls + bench_calls, set(), set()
+    while todo:
+        name, n_pos, keywords = call = todo.pop()
+        if call in seen:
+            continue
+        seen.add(call)
+        for (key, called), (params, _, kwarg) in sigs.items():
+            if called != name:
+                continue
+            positional = params if n_pos is None else params[:n_pos]
+            given |= {f"{key}.{p}" for p in set(positional) | keywords}
+            extra = keywords - set(params)
+            if kwarg and extra:
+                todo += [(g, 0, extra) for f, g in forwards | bench_forwards
+                         if f == called]
+    options = {f"{key}.{p}" for (key, _), (_, defaulted, _) in sigs.items()
+               if not set(key.split(".")) & set(AWAITING)
+               for p in defaulted}
+    return options, options - given
+
+
 def test_every_definition_has_a_caller():
     (names, methods), (used, attrs) = _definitions(), _callers()
     uncalled = (names.keys() - used) | (methods.keys() - attrs)
@@ -120,6 +334,15 @@ def test_every_definition_has_a_caller():
     assert sorted(uncalled - set(AWAITING)) == []             # delete them
     assert sorted(set(AWAITING) & (defined - uncalled)) == []  # now called
     assert sorted(set(AWAITING) - defined) == []              # gone
+
+
+def test_every_option_has_a_caller():
+    options, unset = _options(_parse(LIBRARY), _parse(LIBRARY_CALLERS),
+                              _parse(BENCHMARK))
+    awaiting = set(OPTIONS_AWAITING)
+    assert sorted(unset - awaiting) == []              # retire them
+    assert sorted(awaiting & (options - unset)) == []  # now set
+    assert sorted(awaiting - options) == []            # gone
 
 
 def test_shared_names_list_each_caller():
@@ -136,3 +359,81 @@ def test_shared_names_list_each_caller():
 
 def test_exports_resolve():
     assert [n for n in cilab.__all__ if not hasattr(cilab, n)] == []
+
+
+# ---------------------------------------------------------------------------
+# the matcher on in-memory sources
+# ---------------------------------------------------------------------------
+
+_LIB = ast.parse('''
+from dataclasses import dataclass, field
+
+def f(x, a=1, b=2):
+    return x
+
+def g(x, c=3, **kw):
+    return Rec(x, **kw)
+
+@dataclass
+class Rec:
+    x: int
+    v: int = field()
+    y: int = 0
+    z: list = field(default_factory=list)
+    w: int = field(init=False)
+
+class Box:
+    def __init__(self, n, m=4):
+        self.n = n
+
+    def get(self, i, j=0):
+        return i
+
+    def __call__(self, p, order=None):
+        return p
+''')
+_LIB_OPTIONS = {"f.a", "f.b", "g.c", "Rec.y", "Rec.z", "Box.m", "Box.get.j"}
+
+
+def _unset(source):
+    """The options of ``_LIB`` that neither it nor ``source``, as the
+    benchmark, sets."""
+    options, unset = _options([_LIB], [_LIB], [ast.parse(source)])
+    assert options == _LIB_OPTIONS
+    return unset
+
+
+def test_matcher_flags_an_option_only_a_test_sets():
+    # the tests are not callers: a library that never sets f's a flags it
+    assert _unset("f(1, b=2)") == _LIB_OPTIONS - {"f.b"}
+
+
+def test_matcher_reads_keyword_position_dict_and_forwarded_kwargs():
+    assert _unset("f(1, a=2)\nf(1, 2, 3)") == _LIB_OPTIONS - {"f.a", "f.b"}
+    assert "Box.get.j" not in _unset("Box(1, 2).get(0, 1)")
+    assert "Box.m" not in _unset("Box(1, 2)")
+    assert "Rec.y" not in _unset("Rec(1, 2, 3)")
+    assert "f.a" not in _unset("OPTS = dict(a=2)\nf(1, **OPTS)")
+    assert "f.a" not in _unset("OPTS = {'a': 2}\nf(1, **OPTS)")
+    assert "f.a" not in _unset("args = (1, 2)\nf(*args)")
+    # g's **kw reaches Rec, so g(z=...) sets Rec.z, but not g's own c
+    unset = _unset("g(1, z=[2])")
+    assert "Rec.z" not in unset and "g.c" in unset
+
+
+def test_matcher_ignores_dunders_and_own_names():
+    assert _unset("b = Box(1)\nb(0, order=2)\nb.__call__(0, order=2)"
+                  ) == _LIB_OPTIONS
+    # a benchmark call of a name the benchmark defines is its own
+    assert "f.a" in _unset("def f(x, a=0):\n    return x\nf(1, a=2)")
+
+
+def test_references_count_imports_and_unbound_reads_only():
+    names, attrs = _references([ast.parse(
+        "args = parse()\nprint(args.trace)\ntrace = 1\nprint(trace)\n"
+        "def run(sample):\n    return sample\nrun(0)\n")])
+    assert "trace" in attrs and not {"trace", "sample"} & names
+    names, _ = _references([ast.parse("import noise\nnoise.trace(spec)")])
+    assert "trace" in names
+    names, _ = _references([ast.parse("from noise import trace\ntrace(s)")])
+    assert "trace" in names

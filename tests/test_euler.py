@@ -9,7 +9,7 @@ import pytest
 from cilab import GridSpec, band_project, from_grid, leray_project, to_grid
 from cilab.fields import c0_norm, divergence_defect, inner, zeros
 from cilab.euler import (
-    SolverConfig, SpectralInterpolant, local_time_limit,
+    SpectralInterpolant, local_time_limit,
     momentum_residual, solve_euler_with_drift, solve_flow_map,
     time_derivative,
 )
@@ -108,11 +108,11 @@ class TestEulerSolver:
         rel = c0_norm(full[2] - half[1]) / max(c0_norm(full[2]), 1e-30)
         assert rel < 1e-6
 
-    def test_blowup_guard(self):
+    def test_blowup_guard(self, monkeypatch):
         v0 = smooth_div_free(GRID, 3, seed=6, amp=1.0)
-        cfg = SolverConfig(blowup_guard=1e-3)
+        monkeypatch.setattr(euler, "_BLOWUP_GUARD", 1e-3)
         with pytest.raises(RuntimeError, match="blow-up"):
-            solve_euler_with_drift(v0, None, 0.0, [0.0, 0.05], cfg)
+            solve_euler_with_drift(v0, None, 0.0, [0.0, 0.05])
 
 
 class TestInterpolant:
@@ -405,16 +405,16 @@ class TestBoxState:
         # the drift is evaluated again only at a new time
         assert all(s != t for s, t in zip(calls, calls[1:]))
 
-    def test_guard_sees_the_modes_outside_the_box(self):
+    def test_guard_sees_the_modes_outside_the_box(self, monkeypatch):
         # the box part stays 0 (no drift, and the kernel reads only the box),
         # so all of max|v| comes from the modes the solver never changes
         g = GridSpec(16)
         v0 = _white(g, seed=69)
         _, keep = _reference_rhs(v0, None)
         v0.coeffs[:, keep] = 0.0
-        cfg = SolverConfig(blowup_guard=0.5 * c0_norm(v0))
+        monkeypatch.setattr(euler, "_BLOWUP_GUARD", 0.5 * c0_norm(v0))
         with pytest.raises(RuntimeError, match="blow-up at step 1"):
-            solve_euler_with_drift(v0, None, 0.0, [0.0, 1e-4], cfg)
+            solve_euler_with_drift(v0, None, 0.0, [0.0, 1e-4])
 
 
 class TestSolverInputs:
@@ -764,12 +764,12 @@ class TestCertifiedDiagnostics:
         _, diag = solve_euler_with_drift(v0, None, 0.0, [0.0, span])
         assert (diag["steps"], diag["cfl_exact"]) == (steps, steps - 1)
 
-    def test_guard_beyond_the_bound_but_not_the_grid_max(self):
+    def test_guard_beyond_the_bound_but_not_the_grid_max(self, monkeypatch):
         v0 = 0.01 * _white(self.G, seed=63)
         u_bound, _ = euler._sup_bounds(v0)
         guard = np.sqrt(c0_norm(v0) * u_bound)   # between the two
-        out, diag = solve_euler_with_drift(
-            v0, None, 0.0, [0.0, 1e-4, 2e-4], SolverConfig(blowup_guard=guard))
+        monkeypatch.setattr(euler, "_BLOWUP_GUARD", guard)
+        out, diag = solve_euler_with_drift(v0, None, 0.0, [0.0, 1e-4, 2e-4])
         assert diag["steps"] >= 2
         assert all(c0_norm(f) <= guard < euler._sup_bounds(f)[0]
                    for f in out)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cilab import cutoffs
 from cilab.ladder import ladder
 from cilab.cutoffs import (ChiFamily, EtaFamily, bump, bump_deriv, smoothstep,
                            smoothstep_deriv, window_count)
@@ -64,11 +65,13 @@ class TestLadder:
         ("a", np.nan), ("a", np.inf), ("a", 2**2000), ("a", -3.0),
         ("a", 0.0), ("b", np.nan), ("b", -np.inf),
         ("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan),
-        ("beta", np.inf)])
+        ("beta", np.inf), ("b", 2**2000), ("alpha", 2**2000),
+        ("beta", 2**2000), ("L", 2**2000), ("L", -2**2000)])
     def test_bad_real_parameter_is_a_range_violation(self, name, value):
         # the admissible ladder of test_admissible_regime_exists with one
         # parameter replaced; unchecked, L = nan gives tau all nan and
-        # L = -1 a negative tau, both with admissible=True
+        # L = -1 a negative tau, both with admissible=True.  An integer
+        # beyond the float range reads as +-inf
         kw = dict(a=2.0**130, b=1.04, alpha=1e-4, beta=0.2, L=1)
         kw[name] = value
         lad = ladder(**kw, q_max=2)
@@ -272,17 +275,17 @@ class TestEta:
         times = np.random.default_rng(3).permutation(self.times)
         eta = EtaFamily(self.tau, times, n_x1=16)
         x1 = np.arange(16) / 16
-        y = (np.arange(33) + 0.5) / 33 * eta.eps_moll
-        u = 2.0 * (y / eta.eps_moll) - 1.0
+        y = (np.arange(33) + 0.5) / 33 * cutoffs._EPS_MOLL
+        u = 2.0 * (y / cutoffs._EPS_MOLL) - 1.0
         wy = np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300))
         wy /= wy.sum()
-        width = eta.eps_moll * self.tau
+        width = cutoffs._EPS_MOLL * self.tau
         for i in range(eta.n_windows):
-            lo = i * self.tau + eta.eps_tilt * self.tau / 3.0
-            hi = i * self.tau + (3.0 - eta.eps_tilt) * self.tau / 3.0
+            lo = i * self.tau + cutoffs._EPS_TILT * self.tau / 3.0
+            hi = i * self.tau + (3.0 - cutoffs._EPS_TILT) * self.tau / 3.0
             ref = np.zeros((len(times), 16))
             for yk, wk in zip(y, wy):
-                sh = ((2.0 * eta.eps_tilt * self.tau / 3.0)
+                sh = ((2.0 * cutoffs._EPS_TILT * self.tau / 3.0)
                       * np.sin(2 * np.pi * (x1 - yk)))
                 ref += wk * (smoothstep((times[:, None] - sh - lo) / width)
                              - smoothstep((times[:, None] - sh - hi) / width))
@@ -292,7 +295,7 @@ class TestEta:
         # eta_i is the slab indicator mollified in time by smoothstep', so
         # d/dt eta_i is that kernel read at the two slab edges
         tau = self.tau
-        eps_tilt, eps_moll = self.eta.eps_tilt, self.eta.eps_moll
+        eps_tilt, eps_moll = cutoffs._EPS_TILT, cutoffs._EPS_MOLL
         width, tilt = eps_moll * tau, 2.0 * eps_tilt * tau / 3.0
         lo = tau + eps_tilt * tau / 3.0
         hi = tau + (3.0 - eps_tilt) * tau / 3.0
@@ -318,8 +321,12 @@ class TestEta:
         ("eps_moll", np.inf), ("eps_tilt", 0.0), ("eps_tilt", 1.0 / 3.0),
         ("eps_tilt", 0.6), ("eps_tilt", np.nan), ("n_x1", 0), ("n_x1", -1),
         ("n_x1", 2.5)])
-    def test_rejects_parameter_out_of_range(self, name, value):
-        kw = {"n_x1": 16, name: value}
+    def test_rejects_parameter_out_of_range(self, name, value, monkeypatch):
+        kw = {"n_x1": 16}
+        if name == "n_x1":
+            kw[name] = value
+        else:   # eps_tilt and eps_moll are module constants, read each build
+            monkeypatch.setattr(cutoffs, f"_{name.upper()}", value)
         with pytest.raises(ValueError, match=name):
             EtaFamily(self.tau, self.times, **kw)
 
@@ -329,18 +336,18 @@ def _eta_window_loop(eta):
     rows of one window at a time."""
     t = np.asarray(eta.times)
     x1 = np.arange(eta.n_x1) / eta.n_x1
-    tilt = 2.0 * eta.eps_tilt * eta.tau / 3.0
-    y = (np.arange(33) + 0.5) / 33 * eta.eps_moll
-    wy = bump((2.0 * (y / eta.eps_moll) - 1.0) ** 2)
+    tilt = 2.0 * cutoffs._EPS_TILT * eta.tau / 3.0
+    y = (np.arange(33) + 0.5) / 33 * cutoffs._EPS_MOLL
+    wy = bump((2.0 * (y / cutoffs._EPS_MOLL) - 1.0) ** 2)
     wy /= wy.sum()
-    width = eta.eps_moll * eta.tau
+    width = cutoffs._EPS_MOLL * eta.tau
     ref = np.zeros_like(eta.values)
     for i in range(eta.n_windows):
         if eta.straight_zero and i == 0:
             ref[0] = eta._straight0(t)[:, None]
             continue
-        lo = i * eta.tau + eta.eps_tilt * eta.tau / 3.0
-        hi = i * eta.tau + (3.0 - eta.eps_tilt) * eta.tau / 3.0
+        lo = i * eta.tau + cutoffs._EPS_TILT * eta.tau / 3.0
+        hi = i * eta.tau + (3.0 - cutoffs._EPS_TILT) * eta.tau / 3.0
         rows = (t > lo - tilt - width) & (t < hi + tilt + 2.0 * width)
         tr = t[rows]
         acc = np.zeros((len(tr), eta.n_x1))
@@ -368,7 +375,6 @@ class TestEtaWindowBatch:
                                                               monkeypatch):
         # the 25 times and 32 x1 nodes of a glued step: all 33 mollifier
         # nodes of a slab edge go through one call
-        from cilab import cutoffs
         shapes = []
 
         def spy(s):
@@ -393,15 +399,17 @@ def _overlap_all_pairs(eta):
 
 
 class TestEtaOverlap:
-    # eps_moll = 0.3 widens the mollifier until neighbouring windows
+    # _EPS_MOLL = 0.3 widens the mollifier until neighbouring windows
     # overlap, so the defect is positive there and 0 at the default
     @pytest.mark.parametrize("straight_zero", [False, True])
     @pytest.mark.parametrize("eps_moll", [1.0 / 64.0, 0.3])
-    def test_matches_all_pairs_on_a_path_grid(self, straight_zero, eps_moll):
+    def test_matches_all_pairs_on_a_path_grid(self, straight_zero, eps_moll,
+                                              monkeypatch):
+        monkeypatch.setattr(cutoffs, "_EPS_MOLL", eps_moll)
         lad = ladder(a=2.0 ** 130, b=1.04, alpha=1e-4, beta=0.2, L=24.0,
                      q_max=2, overrides={0: 1.0, 1: 2.0, 2: 3.0})
         eta = EtaFamily(lad.tau[0], np.arange(1001) * 1e-3, n_x1=16,
-                        straight_zero=straight_zero, eps_moll=eps_moll)
+                        straight_zero=straight_zero)
         assert eta.n_windows >= 90
         ref = _overlap_all_pairs(eta)
         assert (ref > 0.0) == (eps_moll == 0.3)

@@ -256,7 +256,7 @@ class TestMikadoFlow:
         vals = []
         for lam, n in ((2, 64), (4, 128), (8, 256)):
             g = GridSpec(n)
-            flow = build_mikado(0, lam, FAM0, g, sigma=0.33)
+            flow = build_mikado(0, lam, FAM0, g)
             vals.append((c0_norm(flow.W), lam * c0_norm(flow.V)))
         w_vals = [w for w, _ in vals]
         lv_vals = [lv for _, lv in vals]
@@ -316,13 +316,6 @@ class TestMikadoFlow:
     def test_unresolvable_lambda(self):
         with pytest.raises(ValueError, match="unresolvable"):
             build_mikado(0, 16, FAM0, GridSpec(32))
-
-    @pytest.mark.parametrize("sigma", [0.0, -0.3, np.nan, np.inf])
-    def test_rejects_sigma_not_positive_and_finite(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            build_mikado(0, 2, FAM0, GridSpec(32), sigma=sigma)
-        with pytest.raises(ValueError, match="sigma"):
-            build_family_flows(FAM0, 2, GridSpec(32), sigma=sigma)
 
     # unchecked, row -1 builds row 5's pipe and row 6 raises IndexError
     @pytest.mark.parametrize("row", [-1, 6, 2.0])

@@ -312,13 +312,6 @@ class TestModeAssembly:
             assert np.array_equal(got.coeffs, ref.coeffs)
             assert np.any(got.coeffs != 0)
 
-    def test_project_matches_mode_loop(self):
-        p = sample_path(SPEC, 0.02, 0.1, seed=15)
-        rng = np.random.default_rng(15)
-        u = from_grid(rng.standard_normal((3,) + (GRID.n,) * 3), GRID,
-                      "vector3")
-        assert _rel(p.project(u), _project_loop(p, u)) < 1e-14
-
     def test_rejects_grid_too_coarse_for_the_spectrum(self):
         p = sample_path(SpectrumSpec(p=6.0, scale=1.0, k_max=4), 0.01, 0.1,
                         seed=16)
@@ -331,7 +324,7 @@ class TestMollified:
         p = sample_path(SPEC, 0.01, 1.0, seed=17)
         z = MollifiedPath(p, 0.23)
         ref_z, ref_dz = np.zeros_like(p.beta), np.zeros_like(p.beta)
-        for w, dw, lag in zip(z.weights, z.dweights, z.lags):
+        for lag, (w, dw) in enumerate(zip(z.weights, z.dweights), 1):
             ref_z[:, lag:] += w * p.beta[:, :-lag]
             ref_dz[:, lag:] += dw * p.beta[:, :-lag]
         assert _rel(z.beta_z, ref_z) < 1e-13
@@ -520,17 +513,18 @@ class TestItoIntegral:
             ref[j + 1] = ref[j] + np.sum(step * _project_loop(p, fields[j]))
             ref_fixed[j + 1] = ref_fixed[j] + np.sum(step * fixed)
         assert _rel(ito_integral(fields, p), ref) < 1e-14
-        assert _rel(ito_integral(fields[3], p), ref_fixed) < 1e-14
+        assert _rel(ito_integral([fields[3]] * (p.n_steps + 1), p),
+                    ref_fixed) < 1e-14
 
     def test_zero_integrand(self):
         p = sample_path(SPEC, 0.02, 0.5, seed=10)
         u = from_grid(np.zeros((3,) + (GRID.n,) * 3), GRID, "vector3")
-        assert np.all(ito_integral(u, p) == 0.0)
+        assert np.all(ito_integral([u] * (p.n_steps + 1), p) == 0.0)
 
     def test_constant_integrand_telescopes(self):
         p = sample_path(SPEC, 0.02, 0.5, seed=11)
         u = p.field_at(5, GRID)  # arbitrary fixed field
-        run = ito_integral(u, p)
+        run = ito_integral([u] * (p.n_steps + 1), p)
         # telescoping: integral at t equals <u, B(t)>
         for i in (3, 10, p.n_steps):
             B = p.field_at(i, GRID)
@@ -545,18 +539,12 @@ class TestItoIntegral:
         vals = []
         for seed in range(200):
             p = sample_path(spec, dt, t, seed=seed)
-            vals.append(ito_integral(u, p)[-1] ** 2)
+            vals.append(ito_integral([u] * (p.n_steps + 1), p)[-1] ** 2)
         vals = np.array(vals)
-        p0 = sample_path(spec, dt, t, seed=0)
-        proj = p0.project(u)
+        proj = _project_loop(sample_path(spec, dt, t, seed=0), u)
         target = float(np.sum(spec.eigenvalues() * proj**2) * t)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - target) < 3 * se
-
-    def test_rejects_more_steps_than_the_path(self):
-        p = sample_path(SPEC, 0.02, 0.5, seed=20)
-        with pytest.raises(ValueError, match="n_steps"):
-            ito_integral(p.field_at(0, GRID), p, n_steps=p.n_steps + 1)
 
     def test_time_grid_mismatch(self):
         p = sample_path(SPEC, 0.02, 0.5, seed=12)
