@@ -21,8 +21,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {self.n}")
+        if not is_integer(self.n) or self.n < 8 or self.n % 2 != 0:
+            raise ValueError(f"grid size must be an even int >= 8, got {self.n!r}")
 
     @property
     def nyquist(self) -> int:
@@ -48,6 +48,11 @@ class GridSpec:
         """Full (3, n, n, n) array of grid point coordinates."""
         x = self.axes()
         return np.stack(np.meshgrid(x, x, x, indexing="ij"))
+
+
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # both caches hand every caller the same arrays: they are read-only, so no

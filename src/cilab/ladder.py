@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import is_integer
+
 # log of the largest float: lambda_q = a^(b^q) overflows beyond it
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -54,6 +56,8 @@ class ParameterLadder:
             raise ValueError("mode must be 'onsager' or 'cauchy'")
         if self.mode == "cauchy" and self.beta_bar is None:
             raise ValueError("cauchy mode needs beta_bar")
+        if not is_integer(self.q_max) or self.q_max < 0:
+            raise ValueError(f"q_max={self.q_max!r} is not an integer >= 0")
         n = self.q_max + 3  # keep delta_{q+2} available at q_max
         a = _real(self.a) if self.a > 0 else math.nan
         b, al, be, L = map(_real, (self.b, self.alpha, self.beta, self.L))

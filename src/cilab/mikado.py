@@ -163,9 +163,10 @@ def gamma_coefficients(R, family: DirectionFamily):
     dev = R - np.eye(3).reshape((3, 3) + (1,) * (R.ndim - 2))
     frob = np.sqrt(np.sum(dev**2, axis=(0, 1)))
     worst = float(np.max(frob))
-    if worst > 0.5 + 1e-12:
-        raise ValueError(f"R outside the admissible ball: "
-                         f"|R - Id|_F = {worst:.4f} > 1/2")
+    if not worst <= 0.5 + 1e-12:   # a NaN norm fails this test too
+        why = " > 1/2" if worst < np.inf else ": R is not finite"
+        raise ValueError("R outside the admissible ball: |R - Id|_F = "
+                         f"{worst:.4f}{why}")
     c = decomposition_coefficients(R, family)
     cmin = float(np.min(c))
     if cmin <= 0.0:

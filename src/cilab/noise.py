@@ -2,7 +2,9 @@
 
 The driving noise is B(t) = sum_k sqrt(c_k) beta_k(t) e_k with finitely many
 retained wavevectors, two divergence-free polarizations per wavevector, and
-eigenvalues c_k = scale * (1+|k|^2)^(-p).  Brownian increments come from
+eigenvalues c_k = scale * (1+|k|^2)^(-p).  The spectrum is a frozen value:
+read-only arrays with basis element m in row m, rows 2j and 2j+1 the cosine
+and sine branch of the j-th wavevector.  Brownian increments come from
 counter-based Philox streams keyed by (seed, mode index), so paths are
 bit-reproducible regardless of evaluation order.  A stream depends on its key
 and counter alone (Salmon et al., SC 2011), so one bit generator re-keyed per
@@ -24,7 +26,7 @@ import numpy as np
 
 from .cutoffs import bump, bump_deriv
 from .fields import ModeTable, SpectralField, zeros
-from .grids import GridSpec
+from .grids import GridSpec, is_integer
 
 _SQRT2 = np.sqrt(2.0)
 _BLOCK = 32   # output samples per Toeplitz block product of MollifiedPath
@@ -32,46 +34,33 @@ _ITO_CHUNK = 8   # samples per projection in ito_integral
 
 
 @dataclass(frozen=True)
-class NoiseMode:
-    """One basis element sqrt(2) * dir * trig(2 pi k.x)."""
-
-    k: tuple            # integer wavevector
-    polarization: int   # 1 (cosine branch) or 2 (sine branch)
-    c: float            # eigenvalue of GG*
-    direction: tuple    # unit vector orthogonal to k
-
-    def stamp(self) -> np.ndarray:
-        """Coefficient of the basis field at +k (conjugate at -k implied)."""
-        return _stamps(self.direction, self.polarization)
-
-
-def _stamps(direction, polarization) -> np.ndarray:
-    """``NoiseMode.stamp`` per row, by the same elementwise operations."""
-    d = np.asarray(direction)
-    return np.where(np.asarray(polarization)[..., None] == 1,
-                    (d / _SQRT2).astype(complex), -1j * d / _SQRT2)
-
-
-@dataclass
 class SpectrumSpec:
-    """Finite noise spectrum: |k| <= k_max, c_k = scale*(1+|k|^2)^(-p).  Its
-    one representation is ``modes``; a new path derives its arrays from it."""
+    """Finite noise spectrum: |k| <= k_max, c_k = scale*(1+|k|^2)^(-p).
+
+    A frozen value, equal and hashed by (p, scale, k_max), whose one
+    representation is read-only arrays with basis element m in row m:
+    wavevectors ``k`` (M, 3), eigenvalues ``c`` (M,) of GG* and ``stamps``
+    (M, 3), the coefficient of the basis field at +k (conjugate at -k).  Rows
+    2j and 2j+1 are sqrt(2) a cos(2 pi k.x) and sqrt(2) b sin(2 pi k.x) for
+    the j-th wavevector k and unit vectors a, b orthogonal to k and each
+    other."""
 
     p: float = 6.0
     scale: float = 1.0
     k_max: int = 4
-    modes: list = field(default_factory=list)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    stamps: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @np.errstate(over="ignore")   # an overflowing c_k is inf, reported below
     def __post_init__(self):
-        if self.modes:
-            return
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        if not is_integer(self.k_max) or self.k_max < 1:
+            raise ValueError(f"k_max={self.k_max!r} is not an integer >= 1")
         if not 0.0 < self.scale < np.inf:
             raise ValueError(f"scale={self.scale} is not positive and finite")
         if not -np.inf < self.p < np.inf:
             raise ValueError(f"p={self.p} is not finite")
-        r = np.arange(-self.k_max, self.k_max + 1)
+        r = np.arange(-self.k_max, self.k_max + 1, dtype=np.int64)
         ks = np.stack(np.meshgrid(r, r, r, indexing="ij"), -1).reshape(-1, 3)
         # in sorted order, one representative per +-k pair: the one whose
         # first nonzero component is positive
@@ -84,26 +73,26 @@ class SpectrumSpec:
         a = np.cross(khat, np.eye(3)[np.argmin(np.abs(khat), axis=1)])
         a /= np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0]
         b = np.cross(khat, a)
-        for k, k2, da, db in zip(ks.tolist(), np.sum(ks**2, 1).tolist(),
-                                 a.tolist(), b.tolist()):
-            try:
-                c = self.scale * (1.0 + k2) ** (-self.p)
-            except OverflowError:   # the power alone overflows
-                c = np.inf
-            if c == np.inf:
-                raise ValueError(f"p={self.p}: c_k overflows at |k|^2 = {k2}")
-            self.modes += [NoiseMode(tuple(k), 1, c, tuple(da)),
-                           NoiseMode(tuple(k), 2, c, tuple(db))]
+        k2 = np.sum(ks**2, 1)
+        c = self.scale * (1.0 + k2) ** (-self.p)
+        if np.isinf(c).any():
+            raise ValueError(f"p={self.p}: c_k overflows at |k|^2 = "
+                             f"{k2[np.argmax(np.isinf(c))]}")
+        stamps = np.stack([a / _SQRT2, -1j * b / _SQRT2], 1).reshape(-1, 3)
+        for name, value in (("k", np.repeat(ks, 2, axis=0)),
+                            ("c", np.repeat(c, 2)), ("stamps", stamps)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
+        return len(self.c)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array([m.c for m in self.modes])
+        return self.c
 
     def k_squared(self) -> np.ndarray:
-        return np.array([sum(v * v for v in m.k) for m in self.modes], float)
+        return np.sum(self.k**2, axis=1).astype(float)
 
     def sobolev_weight(self, s: float) -> np.ndarray:
         """(1 + 4 pi^2 |k|^2)^s per mode: the symbol of (I - Lap)^s."""
@@ -145,18 +134,15 @@ class NoisePath:
         self.increments *= np.sqrt(self.dt)
         self.beta = np.zeros((spec.n_modes, self.n_steps + 1))
         np.cumsum(self.increments, axis=1, out=self.beta[:, 1:])
-        self._stamps = _stamps([m.direction for m in spec.modes],  # (M, 3)
-                               [m.polarization for m in spec.modes])
-        self._roots = np.sqrt(spec.eigenvalues())
-        self._k = np.array([m.k for m in spec.modes], dtype=np.int64)
-        self._grids = {}   # grid.n -> (ModeTable of self._k, its stamp writes)
+        self._roots = np.sqrt(spec.c)
+        self._grids = {}   # grid.n -> (ModeTable of spec.k, its stamp writes)
 
     # -- field assembly --------------------------------------------------
     def _plan(self, grid: GridSpec):
         """The ModeTable on ``grid`` and ``write_plan`` of the stamps."""
         if grid.n not in self._grids:
-            table = ModeTable(self._k, grid)
-            self._grids[grid.n] = (table, *table.write_plan(self._stamps.T))
+            table = ModeTable(self.spec.k, grid)
+            self._grids[grid.n] = table, *table.write_plan(self.spec.stamps.T)
         return self._grids[grid.n]
 
     def _assemble(self, weights: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -179,7 +165,10 @@ class NoisePath:
 
     def index_of(self, t: float) -> int:
         """Index of the sample nearest t; ValueError if t is off the path."""
-        return self._sample_index(int(round(t / self.dt)))
+        i = float(t) / self.dt
+        if not -np.inf < i < np.inf:   # NaN or +-inf has no nearest sample
+            raise ValueError(f"t={t} is off the path [0, {self.horizon}]")
+        return self._sample_index(int(round(i)))
 
 
 def sample_path(spec: SpectrumSpec, dt: float, horizon: float,
@@ -344,7 +333,7 @@ def ito_integral(u_samples, path: NoisePath) -> np.ndarray:
     # stores a mode conjugated, conjugating its stamp instead leaves the
     # real part of each product, and so <u, e_k>, unchanged
     conj = path._plan(u_samples[0].grid)[0].conj[:, None]
-    stamps = np.where(conj, path._stamps, np.conj(path._stamps))
+    stamps = np.where(conj, path.spec.stamps, np.conj(path.spec.stamps))
     cu = np.empty((_ITO_CHUNK, 3, path.spec.n_modes), complex)
     steps = np.empty(n)
     for j0 in range(0, n, _ITO_CHUNK):

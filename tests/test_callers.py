@@ -6,7 +6,9 @@ Names are read from the syntax tree, so comments and docstrings do not
 count as callers.  A module-level definition counts as called through a
 bare name that the file reads and does not bind, or through an attribute
 read off an imported module (``noise.trace``); a method counts as called
-through any attribute (``x.name``).
+through any attribute (``x.name``).  A library function that passes one of
+its own options on by name, ``f(mode=mode)``, sets the callee's option
+only if a caller sets its own.
 
 Names are matched, not objects, so two collisions are settled first.  A
 benchmark reference to a name the benchmark defines itself is its own and
@@ -45,8 +47,6 @@ AWAITING = {
     "get_mode": "single-mode access, the reference of ModeTable's gathers",
     "set_mode": "single-mode access, the reference of ModeTable's scatters",
     "gamma_derivative_sup": "the geometric lemma's closed-form C^1 bound",
-    "stamp": "one mode's basis coefficient, the reference of the batched "
-             "noise stamps",
     "grad": "ROADMAP direction 8: grad Phi of the flow map for the step",
     "trace": "ROADMAP directions 6 and 7: Tr((I - Lap)^s GG*), the noise "
              "budget of the drift bound and of the stopping norm",
@@ -64,9 +64,9 @@ OPTIONS_AWAITING = {
     "ParameterLadder.N_init": "ROADMAP direction 10, ask first: the Cauchy "
                               "ladder",
     "ladder.mode": "ROADMAP direction 10, ask first: the Cauchy ladder",
+    "ParameterLadder.mode": "ROADMAP direction 10, ask first: the Cauchy "
+                            "ladder",
     "stopping_time.kind": "ROADMAP direction 7: the sup-norm stopping time",
-    "SpectrumSpec.modes": "the spectrum's one representation, derived from "
-                          "k_max unless given",
     "SolverConfig.pad_factor": "ROADMAP direction 1 deletes the interpolant",
     "SolverConfig.interp_points": "ROADMAP direction 1 deletes the "
                                   "interpolant",
@@ -224,29 +224,38 @@ def _dataclass_signature(cls):
     return params, defaulted, None
 
 
+def _functions(tree):
+    """(option key prefix, called name, definition, parameters to skip) of
+    every module-level function of ``tree`` and of every ``__init__`` and
+    non-dunder method of its module-level classes; a class is called by its
+    name with its ``__init__`` parameters."""
+    for node in filter(_is_def, tree.body):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+            continue
+        for m in node.body:
+            if not isinstance(m, ast.FunctionDef):
+                continue
+            if m.name == "__init__":
+                yield node.name, node.name, m, 1
+            elif not _is_dunder(m.name):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in m.decorator_list)
+                yield f"{node.name}.{m.name}", m.name, m, 0 if static else 1
+
+
 def _signatures(library):
     """(key prefix, called name) -> (parameters in call order, defaulted
-    ones, ``**`` parameter) of every module-level function, class and
-    method of ``library`` other than dunders; a class is called by its
-    name with its dataclass fields or its ``__init__`` parameters."""
+    ones, ``**`` parameter) of every definition ``_functions`` lists and of
+    every dataclass, called by its name with its fields unless it defines
+    ``__init__``."""
     out = {}
     for tree in library:
-        for node in filter(_is_def, tree.body):
-            if isinstance(node, ast.FunctionDef):
-                out[node.name, node.name] = _signature(node, 0)
-                continue
-            if _is_dataclass(node):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 out[node.name, node.name] = _dataclass_signature(node)
-            for m in node.body:
-                if not isinstance(m, ast.FunctionDef):
-                    continue
-                if m.name == "__init__":
-                    out[node.name, node.name] = _signature(m, 1)
-                elif not _is_dunder(m.name):
-                    static = any(getattr(d, "id", None) == "staticmethod"
-                                 for d in m.decorator_list)
-                    out[f"{node.name}.{m.name}", m.name] = _signature(
-                        m, 0 if static else 1)
+        for key, called, fn, skip in _functions(tree):
+            out[key, called] = _signature(fn, skip)
     return out
 
 
@@ -267,34 +276,56 @@ def _dicts(tree):
     return out
 
 
-def _calls(trees, own=frozenset()):
-    """Every call in ``trees`` of a name other than ``own`` and dunders:
-    (called name, positional count or None after a ``*``, keywords set),
-    and the forwards (enclosing function, called name) of calls that pass
-    the enclosing function's ``**`` parameter on."""
+def _calls(trees, own=None):
+    """Every call in ``trees`` of a name other than dunders, and the
+    forwards (enclosing function, called name) of calls that pass the
+    enclosing function's ``**`` parameter on.  A call is one record
+    (called name, positions set or None after a ``*``, keywords set, None)
+    of what it sets outright, and one (called name, positions, keywords,
+    option) per argument that is an option of an enclosing library
+    function passed on by name: it sets the callee's parameter only if
+    that option is set.  For the benchmark, ``own`` holds the names it
+    defines: their calls are its own, and their options are its settings,
+    so passing one on sets the callee's parameter."""
     calls, forwards = [], set()
 
-    def visit(node, tree_dicts, fn, kwarg):
+    def visit(node, tree_dicts, owners, fn, kwarg, passed):
         if isinstance(node, ast.FunctionDef):
             fn, kwarg = node.name, node.args.kwarg and node.args.kwarg.arg
+            params, defaulted, _ = _signature(node, 0)
+            passed = {p: o for p, o in passed.items() if p not in params}
+            if id(node) in owners:
+                passed |= {p: f"{owners[id(node)]}.{p}" for p in defaulted}
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-            if name and name not in own and not _is_dunder(name):
+            if name and name not in (own or ()) and not _is_dunder(name):
                 star = any(isinstance(a, ast.Starred) for a in node.args)
-                keywords = {k.arg for k in node.keywords if k.arg}
+                positions, keywords = set(range(len(node.args))), set()
+                for i, a in enumerate(node.args):
+                    if getattr(a, "id", None) in passed and not star:
+                        positions.discard(i)
+                        calls.append((name, frozenset({i}), frozenset(),
+                                      passed[a.id]))
                 for k in node.keywords:
-                    if k.arg is None and isinstance(k.value, ast.Name):
+                    if k.arg and getattr(k.value, "id", None) in passed:
+                        calls.append((name, frozenset(), frozenset({k.arg}),
+                                      passed[k.value.id]))
+                    elif k.arg:
+                        keywords.add(k.arg)
+                    elif isinstance(k.value, ast.Name):
                         keywords |= tree_dicts.get(k.value.id, set())
                         if k.value.id == kwarg:
                             forwards.add((fn, name))
-                calls.append((name, None if star else len(node.args),
-                              frozenset(keywords)))
+                calls.append((name, None if star else frozenset(positions),
+                              frozenset(keywords), None))
         for child in ast.iter_child_nodes(node):
-            visit(child, tree_dicts, fn, kwarg)
+            visit(child, tree_dicts, owners, fn, kwarg, passed)
 
     for tree in trees:
-        visit(tree, _dicts(tree), None, None)
+        owners = {} if own is not None else {
+            id(fn): key for key, _, fn, _ in _functions(tree)}
+        visit(tree, _dicts(tree), owners, None, None, {})
     return calls, forwards
 
 
@@ -302,25 +333,29 @@ def _options(library, callers, bench=()):
     """Every option of ``library`` outside ``AWAITING``, and those that no
     call in ``callers``, or in ``bench`` of a name ``bench`` does not
     define, sets by keyword, by position, through ``**`` of a module-level
-    dict or through a forwarded ``**`` parameter."""
+    dict or through a forwarded ``**`` parameter.  An option that a call
+    sets by passing on an option of its enclosing function is set only if
+    that one is."""
     sigs = _signatures(library)
     calls, forwards = _calls(callers)
     bench_calls, bench_forwards = _calls(bench, _own(bench))
-    todo, seen, given = calls + bench_calls, set(), set()
-    while todo:
-        name, n_pos, keywords = call = todo.pop()
-        if call in seen:
-            continue
-        seen.add(call)
-        for (key, called), (params, _, kwarg) in sigs.items():
-            if called != name:
-                continue
-            positional = params if n_pos is None else params[:n_pos]
-            given |= {f"{key}.{p}" for p in set(positional) | keywords}
-            extra = keywords - set(params)
-            if kwarg and extra:
-                todo += [(g, 0, extra) for f, g in forwards | bench_forwards
-                         if f == called]
+    todo, done, given = calls + bench_calls, set(), set()
+    while ready := [c for c in todo
+                    if c not in done and (c[3] is None or c[3] in given)]:
+        for call in ready:
+            done.add(call)
+            name, positions, keywords, needs = call
+            for (key, called), (params, _, kwarg) in sigs.items():
+                if called != name:
+                    continue
+                positional = params if positions is None else [
+                    p for i, p in enumerate(params) if i in positions]
+                given |= {f"{key}.{p}" for p in set(positional) | keywords}
+                extra = keywords - set(params)
+                if kwarg and extra:
+                    todo += [(g, frozenset(), extra, needs)
+                             for f, g in forwards | bench_forwards
+                             if f == called]
     options = {f"{key}.{p}" for (key, _), (_, defaulted, _) in sigs.items()
                if not set(key.split(".")) & set(AWAITING)
                for p in defaulted}
@@ -374,6 +409,9 @@ def f(x, a=1, b=2):
 def g(x, c=3, **kw):
     return Rec(x, **kw)
 
+def h(x, d=0):
+    return f(x, d, b=d)
+
 @dataclass
 class Rec:
     x: int
@@ -392,7 +430,8 @@ class Box:
     def __call__(self, p, order=None):
         return p
 ''')
-_LIB_OPTIONS = {"f.a", "f.b", "g.c", "Rec.y", "Rec.z", "Box.m", "Box.get.j"}
+_LIB_OPTIONS = {"f.a", "f.b", "g.c", "h.d", "Rec.y", "Rec.z", "Box.m",
+                "Box.get.j"}
 
 
 def _unset(source):
@@ -419,6 +458,14 @@ def test_matcher_reads_keyword_position_dict_and_forwarded_kwargs():
     # g's **kw reaches Rec, so g(z=...) sets Rec.z, but not g's own c
     unset = _unset("g(1, z=[2])")
     assert "Rec.z" not in unset and "g.c" in unset
+
+
+def test_matcher_passes_on_an_option_only_if_it_is_set():
+    # h hands its own d to f's a and b: they are set when h's d is
+    assert {"f.a", "f.b", "h.d"} <= _unset("h(1)")
+    assert not {"f.a", "f.b", "h.d"} & _unset("h(1, d=2)")
+    # a benchmark function's option is a setting of the benchmark
+    assert "f.a" not in _unset("def run(a=5):\n    return f(1, a)")
 
 
 def test_matcher_ignores_dunders_and_own_names():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -455,6 +457,13 @@ class TestGridSpec:
             GridSpec(6)
         with pytest.raises(ValueError):
             GridSpec(34 + 1)
+
+    # unchecked, 16.0 passes and fields.zeros fails with a TypeError
+    @pytest.mark.parametrize("n", [16.0, np.float64(16), True, "16"])
+    def test_rejects_a_size_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            GridSpec(n)
+        assert GridSpec(np.int64(16)).n == 16
 
     def test_nyquist(self):
         assert GridSpec(32).nyquist == 16

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,14 @@ class TestLadder:
     def test_cauchy_needs_beta_bar(self):
         with pytest.raises(ValueError):
             ladder(a=2, b=1.1, alpha=0.001, beta=0.1, L=2, mode="cauchy")
+
+    # unchecked, numpy fails on q_max: negative dimensions or a float size
+    @pytest.mark.parametrize("q_max", [-1, -5, 1.5, 2.0, True, None])
+    def test_rejects_q_max_not_a_count(self, q_max):
+        with pytest.raises(ValueError, match=re.escape(f"q_max={q_max!r} ")):
+            ladder(a=2, b=1.5, alpha=0.02, beta=0.1, L=2, q_max=q_max)
+        assert len(ladder(a=2, b=1.5, alpha=0.02, beta=0.1, L=2,
+                          q_max=np.int64(0)).lam) == 3
 
     def test_cauchy_varsigma(self):
         lad = ladder(a=2, b=1.05, alpha=1e-3, beta=0.05, L=2, mode="cauchy",

@@ -171,6 +171,14 @@ class TestGamma:
         with pytest.raises(ValueError, match="ball"):
             gamma_coefficients(np.eye(3) + 0.6 * np.diag([1, -1, 0]), FAM0)
 
+    # unchecked, both ball tests are False for NaN and gamma comes out NaN
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_R_not_finite(self, bad):
+        R = np.repeat(np.eye(3)[..., None], 4, axis=2)
+        R[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="ball.*R is not finite"):
+            gamma_coefficients(R, FAM0)
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(9)
         Rs = np.stack([random_ball_matrix(rng, 0.3) for _ in range(5)])

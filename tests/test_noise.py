@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,15 +23,15 @@ def _rel(got, ref):
 def _assemble_loop(path, weights, grid):
     """Reference field assembly: one get_mode/set_mode per mode."""
     f = zeros(grid, "vector3")
-    for w, mode in zip(weights, path.spec.modes):
+    for w, k, stamp in zip(weights, path.spec.k, path.spec.stamps):
         if w != 0.0:
-            f.set_mode(mode.k, f.get_mode(mode.k) + w * mode.stamp())
+            f.set_mode(k, f.get_mode(k) + w * stamp)
     return f
 
 
 def _project_loop(path, u):
-    return np.array([2.0 * np.real(u.get_mode(mode.k) @ np.conj(mode.stamp()))
-                     for mode in path.spec.modes])
+    return np.array([2.0 * np.real(u.get_mode(k) @ np.conj(stamp))
+                     for k, stamp in zip(path.spec.k, path.spec.stamps)])
 
 
 def _hs_norm(path, i, s):
@@ -73,8 +75,7 @@ class TestSpectrum:
     def test_basis_orthonormal(self):
         # Gram matrix from the coefficient stamps: single-frequency fields,
         # so distinct frequencies are exactly orthogonal
-        k = np.array([m.k for m in SPEC.modes])
-        st = np.stack([m.stamp() for m in SPEC.modes])
+        k, st = SPEC.k, SPEC.stamps
         same = np.all(k[:, None] == k[None], axis=2)
         gram = np.where(same, 2.0 * np.real(st @ np.conj(st).T), 0.0)
         assert np.max(np.abs(gram - np.eye(len(k)))) < 1e-10
@@ -91,11 +92,10 @@ class TestSpectrum:
         assert np.isfinite(trace(SPEC, 3.5 + 0.01))
 
     def test_trace_single_mode(self):
-        spec = SpectrumSpec(p=6.0, scale=1.0, k_max=1)
-        one = SpectrumSpec(modes=[m for m in spec.modes][:1])
-        one.modes[0] = type(one.modes[0])(one.modes[0].k, 1, 0.5,
-                                          one.modes[0].direction)
-        assert trace(one, 0.0) == pytest.approx(0.5)
+        # six modes, all at |k|^2 = 1 with c = (1 + 1)^-1 = 0.5
+        one = SpectrumSpec(p=1.0, scale=1.0, k_max=1)
+        assert np.array_equal(one.eigenvalues(), [0.5] * 6)
+        assert trace(one, 0.0) == 3.0
 
     def test_trace_monotone_in_s(self):
         assert trace(SPEC, 0.0) <= trace(SPEC, 1.0) <= trace(SPEC, 2.0)
@@ -108,6 +108,12 @@ class TestSpectrum:
     def test_rejects_a_spectrum_without_finite_roots(self, name, value):
         with pytest.raises(ValueError, match=f"^{name}="):
             SpectrumSpec(**{name: value})
+
+    # unchecked, k_max = 1.5 builds 8 modes with non-integer wavevectors
+    @pytest.mark.parametrize("k_max", [0, -2, 1.5, 2.0, True])
+    def test_rejects_k_max_not_a_positive_integer(self, k_max):
+        with pytest.raises(ValueError, match=re.escape(f"k_max={k_max!r} ")):
+            SpectrumSpec(k_max=k_max)
 
 
 class TestSamplePath:
@@ -136,12 +142,12 @@ class TestSamplePath:
         assert abs(vals.mean() - target) < 3 * se
 
     def test_single_mode_variance(self):
+        # row 0 is keyed by (seed, 0): bitwise the path of mode 0 alone
         spec = SpectrumSpec(p=2.0, scale=1.0, k_max=1)
-        single = SpectrumSpec(modes=spec.modes[:1])
         t_idx, dt = 8, 0.05
         t = t_idx * dt
-        c = single.modes[0].c
-        vals = [sample_path(single, dt, t, seed=s).beta[0, t_idx] ** 2 * c
+        c = spec.c[0]
+        vals = [sample_path(spec, dt, t, seed=s).beta[0, t_idx] ** 2 * c
                 for s in range(300)]
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -187,6 +193,12 @@ class TestSampleIndex:
         for t in (-p.dt, p.horizon + p.dt):
             with pytest.raises(ValueError, match="outside 0..20"):
                 p.index_of(t)
+        # unchecked, NaN and +-inf raise a foreign ValueError or an
+        # OverflowError in the rounding
+        for t in (np.nan, np.inf, -np.inf, 1e308):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"t={t} is off the path [0, {p.horizon}]")):
+                p.index_of(t)
 
 
 def _spectrum_loop(p, scale, k_max):
@@ -205,8 +217,8 @@ def _spectrum_loop(p, scale, k_max):
         a /= np.linalg.norm(a)
         b = np.cross(khat, a)
         c = scale * (1.0 + float(kv @ kv)) ** (-p)
-        out.append((k, c, a, (a / np.sqrt(2.0)).astype(complex)))
-        out.append((k, c, b, -1j * b / np.sqrt(2.0)))
+        out.append((k, c, (a / np.sqrt(2.0)).astype(complex)))
+        out.append((k, c, -1j * b / np.sqrt(2.0)))
     return out
 
 
@@ -215,32 +227,37 @@ class TestSpectrumBatch:
         (6.0, 1.0, 1), (6.0, 1.0, 2), (6.0, 1.0, 3), (6.0, 1.0, 4),
         (6.0, 0.0075, 4)])   # the last is the benchmark spectrum
     def test_matches_frame_loop(self, p, scale, k_max):
-        modes = SpectrumSpec(p=p, scale=scale, k_max=k_max).modes
+        spec = SpectrumSpec(p=p, scale=scale, k_max=k_max)
         ref = _spectrum_loop(p, scale, k_max)
-        assert [m.k for m in modes] == [r[0] for r in ref]
-        assert [m.polarization for m in modes] == [1, 2] * (len(ref) // 2)
-        assert np.array_equal([m.c for m in modes], [r[1] for r in ref])
-        assert np.array_equal([m.direction for m in modes],
-                              [r[2] for r in ref])
-        assert np.array_equal([m.stamp() for m in modes], [r[3] for r in ref])
-        path = sample_path(SpectrumSpec(modes=modes), 0.1, 0.2, seed=3)
-        assert np.array_equal(path._stamps, [r[3] for r in ref])
+        assert spec.k.dtype == np.int64
+        assert spec.k.tolist() == [list(r[0]) for r in ref]
+        assert np.array_equal(spec.c, [r[1] for r in ref])
+        assert np.array_equal(spec.eigenvalues(), spec.c)
+        assert np.array_equal(spec.k_squared(),
+                              [sum(x * x for x in r[0]) for r in ref])
+        # bit for bit, signs of zeros included
+        stamps = np.array([r[2] for r in ref])
+        assert np.array_equal(spec.stamps.view(np.uint64),
+                              stamps.view(np.uint64))
 
-    def test_path_sees_modes_edited_after_construction(self):
+    def test_frozen_value_whose_arrays_a_path_reads(self):
         spec = SpectrumSpec(p=6.0, scale=1.0, k_max=2)
-        first = sample_path(spec, 0.05, 0.5, seed=8)
-        spec.modes[0] = type(spec.modes[0])((0, 2, 1), 2, 0.25,
-                                            spec.modes[0].direction[::-1])
-        del spec.modes[-3:]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.p = 5.0
+        for rows in (spec.k, spec.c, spec.stamps, spec.eigenvalues()):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0
+        same, other = SpectrumSpec(6.0, 1.0, 2), SpectrumSpec(6.0, 1.0, 3)
+        assert spec == same and hash(spec) == hash(same) and spec != other
+        # a path keeps no copy of the wavevectors, eigenvalues or stamps:
+        # its per-mode arrays are its samples and sqrt(c)
         path = sample_path(spec, 0.05, 0.5, seed=8)
-        assert path.beta.shape[0] == len(spec.modes) == first.beta.shape[0] - 3
-        assert np.array_equal(path._k, [m.k for m in spec.modes])
-        assert np.array_equal(path._roots, np.sqrt([m.c for m in spec.modes]))
-        assert np.array_equal(path._stamps, [m.stamp() for m in spec.modes])
-        assert path._k[0].tolist() == [0, 2, 1] and path._roots[0] == 0.5
-        w = path._roots * path.beta[:, 4]
-        assert np.array_equal(path.field_at(4, GRID).coeffs,
-                              _assemble_loop(path, w, GRID).coeffs)
+        assert path.spec is spec
+        assert {name for name, value in vars(path).items()
+                if isinstance(value, np.ndarray)
+                and len(value) == spec.n_modes} == {"increments", "beta",
+                                                    "_roots"}
+        assert np.array_equal(path._roots, np.sqrt(spec.c))
 
 
 class TestKeyedStreams:
@@ -258,11 +275,13 @@ class TestKeyedStreams:
         assert np.array_equal(path.beta, beta)
 
     def test_row_depends_on_seed_and_mode_only(self):
+        # the 6 modes of k_max = 1 are the first 6 rows of k_max = 2
         whole = sample_path(SPEC, 0.01, 0.3, seed=12)
-        head = sample_path(SpectrumSpec(modes=SPEC.modes[:5]), 0.01, 0.3,
+        head = sample_path(SpectrumSpec(p=6.0, scale=1.0, k_max=1), 0.01, 0.3,
                            seed=12)
-        assert np.array_equal(head.increments, whole.increments[:5])
-        assert np.array_equal(head.beta, whole.beta[:5])
+        assert head.spec.n_modes == 6
+        assert np.array_equal(head.increments, whole.increments[:6])
+        assert np.array_equal(head.beta, whole.beta[:6])
 
     def test_shorter_path_is_a_prefix(self):
         long = sample_path(SPEC, 1e-3, 1.0, seed=13)
@@ -300,16 +319,18 @@ class TestModeAssembly:
 
     @pytest.mark.parametrize("k,pol", [((1, 1, -1), 1), ((1, -1, 0), 2)])
     def test_single_mode_field_matches_mode_loop(self, k, pol):
-        mode = next(m for m in SPEC.modes
-                    if m.k == k and m.polarization == pol)
-        p = sample_path(SpectrumSpec(modes=[mode]), 0.01, 0.1, seed=22)
+        # rows 2j and 2j + 1: the cosine and sine branch of wavevector j
+        j = SPEC.k[::2].tolist().index(list(k))
+        m = 2 * j + pol - 1
+        p = sample_path(SPEC, 0.01, 0.1, seed=22)
         z = MollifiedPath(p, 0.05)
         roots = np.sqrt(p.spec.eigenvalues())
-        for got, w in ((p.field_at(7, GRID), p.beta[:, 7]),
-                       (z.field_at(9, GRID), z.beta_z[:, 9]),
-                       (z.dfield_at(9, GRID), z.dbeta_z[:, 9])):
-            ref = _assemble_loop(p, roots * w, GRID)
-            assert np.array_equal(got.coeffs, ref.coeffs)
+        for rows, i in ((p.beta, 7), (z.beta_z, 9), (z.dbeta_z, 9)):
+            w = np.zeros(SPEC.n_modes)
+            w[m] = roots[m] * rows[m, i]
+            got = p._assemble(w, GRID)
+            assert np.array_equal(got.coeffs,
+                                  _assemble_loop(p, w, GRID).coeffs)
             assert np.any(got.coeffs != 0)
 
     def test_rejects_grid_too_coarse_for_the_spectrum(self):
