@@ -13,12 +13,16 @@ smooth, with the closed-form time derivative that ``smoothstep_deriv``
 gives.
 
 The package's one bump kernel (``bump``) and one smooth step
-(``smoothstep``) live here too.
+(``smoothstep``) live here too.  Tier-1 certifies the shape constants
+once, ``_EPS_TILT`` in (0, 1/3) and ``_EPS_MOLL`` positive and finite;
+builds read them unchecked.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .grids import checked_index, is_integer
 
 _EPS_TILT = 0.25       # slab shrink fraction (epsilon in (0, 1/3))
 _EPS_MOLL = 1.0 / 64.0  # mollification fraction (epsilon_0)
@@ -133,6 +137,7 @@ class ChiFamily:
 
     def window_span(self, i: int, horizon: float):
         """Solve span [anchor, end] for the exact solution of window i."""
+        i = checked_index("window index", i, self.n_windows)
         anchor = max((i - 1) * self.tau, 0.0)
         end = min((i + 1) * self.tau + self.tau / 3.0, horizon)
         return anchor, end
@@ -162,23 +167,18 @@ class EtaFamily:
     def __post_init__(self):
         t, horizon = _time_samples(self.times)
         window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
-        if not (isinstance(self.n_x1, (int, np.integer)) and self.n_x1 >= 1):
+        if not (is_integer(self.n_x1) and self.n_x1 >= 1):
             raise ValueError(f"n_x1={self.n_x1!r} is not an integer >= 1")
-        eps_tilt, eps_moll = _EPS_TILT, _EPS_MOLL   # read at each build
-        if not 0.0 < eps_moll < np.inf:
-            raise ValueError(f"eps_moll={eps_moll} is not positive and finite")
-        if not 0.0 < eps_tilt < 1.0 / 3.0:
-            raise ValueError(f"eps_tilt={eps_tilt} is not in (0, 1/3)")
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
-        tilt = 2.0 * eps_tilt * self.tau / 3.0
+        tilt = 2.0 * _EPS_TILT * self.tau / 3.0
         # x-mollification nodes: average the shift over the kernel
         ny = 33
-        y = (np.arange(ny) + 0.5) / ny * eps_moll
-        wy = bump((2.0 * (y / eps_moll) - 1.0) ** 2)
+        y = (np.arange(ny) + 0.5) / ny * _EPS_MOLL
+        wy = bump((2.0 * (y / _EPS_MOLL) - 1.0) ** 2)
         wy /= wy.sum()
         vals = np.zeros((self.n_windows, len(t), self.n_x1))
-        width = eps_moll * self.tau
+        width = _EPS_MOLL * self.tau
         shifts = tilt * np.sin(2 * np.pi * (x1 - y[:, None]))
         if self.straight_zero:
             vals[0] = self._straight0(t)[:, None]
@@ -189,8 +189,8 @@ class EtaFamily:
         # A window is live for (1 + 2 eps_tilt / 3 + 3 eps_moll) tau, 1.21 tau
         # at the defaults, so the rows number about 1.2 times the times.
         i = np.arange(int(self.straight_zero), self.n_windows)
-        lo = i * self.tau + eps_tilt * self.tau / 3.0
-        hi = i * self.tau + (3.0 - eps_tilt) * self.tau / 3.0
+        lo = i * self.tau + _EPS_TILT * self.tau / 3.0
+        hi = i * self.tau + (3.0 - _EPS_TILT) * self.tau / 3.0
         w, r = np.nonzero((t > (lo - tilt - width)[:, None])
                           & (t < (hi + tilt + 2.0 * width)[:, None]))
         tr, lo_r, hi_r = t[r, None], lo[w, None], hi[w, None]
@@ -223,11 +223,14 @@ class EtaFamily:
         if n != self.n_x1:
             raise ValueError(f"grid size {n} differs from the family's "
                              f"n_x1={self.n_x1}")
+        i = checked_index("window index", i, self.n_windows)
+        t_idx = checked_index("time index", t_idx, self.values.shape[1])
         prof = self.values[i, t_idx]
         return np.broadcast_to(prof[:, None, None], (n, n, n))
 
     def sum_int_sq(self, t_idx: int) -> float:
         """sum_i integral eta_i^2 dx at one time sample."""
+        t_idx = checked_index("time index", t_idx, self.values.shape[1])
         return float(np.sum(np.mean(self.values[:, t_idx, :] ** 2, axis=1)))
 
     def overlap_defect(self) -> float:

@@ -1,6 +1,7 @@
-"""Uniform grids on the periodic unit box [0,1)^3, the rule that splits a
-job on a grid over the usable CPUs, and ``run_parts``, the one way the
-library runs the parts of a job on threads."""
+"""Uniform grids on the periodic unit box [0,1)^3, the integer and index
+checks of the library, the rule that splits a job on a grid over the usable
+CPUs, and ``run_parts``, the one way the library runs the parts of a job on
+threads."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,14 @@ class GridSpec:
 def is_integer(x) -> bool:
     """Whether x is an int or a numpy integer, and not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def checked_index(name: str, i, count: int) -> int:
+    """``i`` if it is an integer in 0..count-1, else ValueError naming it:
+    numpy would wrap a negative index to one from the end."""
+    if not (is_integer(i) and 0 <= i < count):
+        raise ValueError(f"{name} {i!r} outside 0..{count - 1}")
+    return i
 
 
 # both caches hand every caller the same arrays: they are read-only, so no

@@ -3,10 +3,11 @@ matrices near the identity.
 
 Two frozen, disjoint families of six rational unit directions carry the
 decomposition R = sum_xi gamma_xi^2(R) xi (x) xi via an exact 6x6 linear
-solve.  Each direction gets a stationary pressureless pipe flow built
-spectrally on the lattice orthogonal to it, so the defining identities
-(div W = 0, curl V = W, xi.grad phi = 0, unit second moment) hold to
-rounding by construction.
+solve; the tables are constants that tier-1 certifies once (unit, disjoint,
+a zero component per direction, Gram-invertible, positive at Id).  Each
+direction gets a stationary pressureless pipe flow built spectrally on the
+lattice orthogonal to it, so the defining identities (div W = 0, curl V =
+W, xi.grad phi = 0, unit second moment) hold to rounding by construction.
 
 Support disjointness is genuinely unreachable at desk scale: spectral
 confinement to the coarse pipe lattice bounds the number of zeros any
@@ -21,15 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SYM_INDEX, SYM_WEIGHT, ModeTable, SpectralField, zeros
-from .grids import GridSpec
+from .grids import GridSpec, is_integer
 
-
-class CertificationError(RuntimeError):
-    """A frozen family failed one of its construction-time checks."""
-
-
-# frozen direction families: integer numerators over denominator 5,
-# mutually disjoint, Gram-invertible, identity coefficients all 1/2
+# frozen direction families: integer numerators over _DENOMINATOR, the one
+# pipe denominator; their identity coefficients are all 1/2
 _FAMILY_NUMERATORS = (
     ((0, 4, -3), (0, 4, 3), (3, 0, -4), (3, 0, 4), (4, -3, 0), (4, 3, 0)),
     ((0, 3, -4), (0, 3, 4), (3, -4, 0), (3, 4, 0), (4, 0, -3), (4, 0, 3)),
@@ -48,62 +44,45 @@ _FAMILY_SHIFTS = (
      (0.7375, 0.8875, 0.9625), (0.3500, 0.9500, 0.6250)),
 )
 
-def _axis_frame(numer):
-    """A_xi = the coordinate axis in the zero slot of the direction."""
-    zero_slots = [i for i, v in enumerate(numer) if v == 0]
-    if not zero_slots:
-        raise CertificationError(f"direction {numer} has no zero component")
-    a = np.zeros(3, dtype=int)
-    a[zero_slots[0]] = 1
-    return a
 
-
-@dataclass
+@dataclass(frozen=True)
 class DirectionFamily:
-    """One certified 6-direction family with frames, shifts and solver."""
+    """One of the two frozen 6-direction families: a value, equal and
+    hashed by ``index``, whose read-only arrays are built in one pass:
+    ``numerators`` (6, 3) int, the directions times ``_DENOMINATOR``,
+    ``shifts`` (6, 3) in [0, 1), and the solver's ``gram_inv`` (6, 6),
+    ``id_coefficients`` (6,) and ``dual_norms`` (6,)."""
 
     index: int
-    numerators: np.ndarray          # (6,3) int, directions * n_star
-    frame_a: np.ndarray             # (6,3) int unit vectors, A_xi
-    frame_b: np.ndarray             # (6,3) int, (xi x A_xi) * n_star
-    n_star: int                     # the common denominator
-    shifts: np.ndarray              # (6,3) floats in [0,1)
-    gram: np.ndarray = field(init=False)
-    gram_inv: np.ndarray = field(init=False)
-    id_coefficients: np.ndarray = field(init=False)
-    dual_norms: np.ndarray = field(init=False)
+    numerators: np.ndarray = field(init=False, repr=False, compare=False)
+    shifts: np.ndarray = field(init=False, repr=False, compare=False)
+    gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    id_coefficients: np.ndarray = field(init=False, repr=False,
+                                        compare=False)
+    dual_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._validate_rational()
+        if not (is_integer(self.index) and 0 <= self.index <= 1):
+            raise ValueError(f"family index {self.index!r} is not 0 or 1")
+
+        def store(name, value):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+        store("numerators", np.array(_FAMILY_NUMERATORS[self.index], int))
+        store("shifts", np.array(_FAMILY_SHIFTS[self.index]))
         d = self.directions()
         # columns: xi (x) xi in the fields.SYM_INDEX component layout
-        self.gram = np.stack([d[:, i] * d[:, j] for (i, j) in SYM_INDEX])
-        det = np.linalg.det(self.gram)
-        if abs(det) < 1e-12:
-            raise CertificationError("gram matrix is singular")
-        self.gram_inv = np.linalg.inv(self.gram)
-        self.id_coefficients = decomposition_coefficients(np.eye(3), self)
-        if self.id_coefficients.min() <= 0:
-            raise CertificationError("identity coefficients not all positive")
+        store("gram_inv", np.linalg.inv(
+            np.stack([d[:, i] * d[:, j] for (i, j) in SYM_INDEX])))
+        store("id_coefficients", decomposition_coefficients(np.eye(3), self))
         # c_i(R) = <M_i, R>_F with M_i = row_i / SYM_WEIGHT, so the Frobenius
         # dual norm of c_i is |M_i|_F = sqrt(sum row_i^2 / SYM_WEIGHT)
-        self.dual_norms = np.sqrt(np.sum(self.gram_inv**2 / SYM_WEIGHT,
-                                         axis=1))
-
-    def _validate_rational(self):
-        for row in range(6):
-            xi, a, b = self.numerators[row], self.frame_a[row], self.frame_b[row]
-            if int(xi @ xi) != self.n_star ** 2:
-                raise CertificationError(f"{tuple(xi)} is not a unit vector")
-            if int(a @ a) != 1 or int(xi @ a) != 0:
-                raise CertificationError(f"bad frame for {tuple(xi)}")
-            if not np.array_equal(np.cross(xi, a), b):
-                raise CertificationError(f"frame_b mismatch for {tuple(xi)}")
-            if int(b @ b) != self.n_star ** 2:
-                raise CertificationError(f"|xi x A| != 1 for {tuple(xi)}")
+        store("dual_norms", np.sqrt(np.sum(self.gram_inv**2 / SYM_WEIGHT,
+                                           axis=1)))
 
     def directions(self) -> np.ndarray:
-        return self.numerators / self.n_star
+        return self.numerators / _DENOMINATOR
 
     def certified_radius(self) -> float:
         """Exact radius (Frobenius) of the ball around Id on which all
@@ -126,20 +105,8 @@ class DirectionFamily:
 
 
 def build_direction_family(index: int) -> DirectionFamily:
-    """Return one of the two frozen families, re-certifying on construction."""
-    if index not in (0, 1):
-        raise ValueError("family index must be 0 or 1")
-    numer = np.array(_FAMILY_NUMERATORS[index], dtype=int)
-    other = np.array(_FAMILY_NUMERATORS[1 - index], dtype=int)
-    seen = {tuple(r) for r in numer} | {tuple(-r) for r in numer}
-    for r in other:
-        if tuple(r) in seen or tuple(-r) in seen:
-            raise CertificationError("families are not disjoint")
-    fa = np.stack([_axis_frame(r) for r in numer])
-    fb = np.stack([np.cross(numer[i], fa[i]) for i in range(6)])
-    return DirectionFamily(index=index, numerators=numer, frame_a=fa,
-                           frame_b=fb, n_star=_DENOMINATOR,
-                           shifts=np.array(_FAMILY_SHIFTS[index]))
+    """Return one of the two frozen families."""
+    return DirectionFamily(index)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +125,12 @@ def decomposition_coefficients(R, family: DirectionFamily) -> np.ndarray:
 
 
 def gamma_coefficients(R, family: DirectionFamily):
-    """gamma_xi(R) = sqrt(c_xi(R)) for R in the ball |R - Id|_F <= 1/2."""
+    """gamma_xi(R) = sqrt(c_xi(R)) for R in the ball |R - Id|_F <= 1/2.
+
+    Every c_xi is positive on the certified ball |R - Id|_F <=
+    ``family.certified_radius()``, 0.4631 for both families; between it and
+    1/2 an R where some c_xi <= 0 raises a ValueError naming that radius.
+    """
     R = np.asarray(R, dtype=float)
     dev = R - np.eye(3).reshape((3, 3) + (1,) * (R.ndim - 2))
     frob = np.sqrt(np.sum(dev**2, axis=(0, 1)))
@@ -168,11 +140,12 @@ def gamma_coefficients(R, family: DirectionFamily):
         raise ValueError("R outside the admissible ball: |R - Id|_F = "
                          f"{worst:.4f}{why}")
     c = decomposition_coefficients(R, family)
-    cmin = float(np.min(c))
-    if cmin <= 0.0:
-        raise CertificationError(
-            f"decomposition coefficient {cmin:.3e} <= 0 inside the stated "
-            "ball; family certification violated")
+    at = np.unravel_index(np.argmin(c), c.shape)
+    if c[at] <= 0.0:
+        raise ValueError(
+            f"family {family.index}: decomposition coefficient {c[at]:.3e} "
+            f"<= 0 at |R - Id|_F = {np.asarray(frob)[at[1:]]:.4f}, outside "
+            f"the certified ball of radius {family.certified_radius():.4f}")
     return np.sqrt(c)
 
 
@@ -227,8 +200,10 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
                    grid: GridSpec):
     """Admissible profile lattice modes k = m1*K_A + m2*K_B inside the grid,
     |k_i| <= n/2 - n/8 (a guard band of n/8 below Nyquist)."""
-    ka = lam * family.n_star * family.frame_a[row]          # integer
-    kb = lam * family.frame_b[row]                          # n_star*B integer
+    # A_xi, the axis at the numerator's zero slot, and n_star xi x A_xi
+    numer = family.numerators[row]
+    axis = np.eye(3, dtype=int)[np.argmax(numer == 0)]
+    ka, kb = lam * _DENOMINATOR * axis, lam * np.cross(numer, axis)
     keep = grid.nyquist - grid.n // 8
     mmax = int(keep // min(np.max(np.abs(ka)), np.max(np.abs(kb))) + 1)
     m = np.arange(-mmax, mmax + 1, dtype=np.int64)
@@ -240,7 +215,7 @@ def _profile_modes(family: DirectionFamily, row: int, lam: int,
     if not live.any():
         raise ValueError(
             f"pipe profile unresolvable: lambda={lam} with n_star="
-            f"{family.n_star} leaves no admissible modes on grid n={grid.n}")
+            f"{_DENOMINATOR} leaves no admissible modes on grid n={grid.n}")
     return ks[live], ms[live]
 
 
@@ -250,10 +225,10 @@ def build_mikado(row: int, lam: int, family: DirectionFamily,
     ``lam``.  Its cross-section is a periodized Gaussian whose width sigma
     (profile-cell units) adapts to the number of resolvable harmonics, so
     the spectral truncation tail stays near rounding."""
-    if not (isinstance(row, (int, np.integer)) and 0 <= row < 6):
+    if not (is_integer(row) and 0 <= row < 6):
         raise ValueError(f"row {row!r} is not one of the family's rows 0..5")
-    if lam < 1 or int(lam) != lam:
-        raise ValueError("lambda must be a positive integer")
+    if not (is_integer(lam) and lam >= 1):
+        raise ValueError(f"lambda={lam!r} is not an integer >= 1")
     lam = int(lam)
     kvecs, mvecs = _profile_modes(family, row, lam, grid)
     sigma = min(max(1.1 / np.max(np.abs(mvecs)), 0.10), 0.80)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cutoffs import bump, bump_deriv
 from .fields import ModeTable, SpectralField, zeros
-from .grids import GridSpec, is_integer
+from .grids import GridSpec, checked_index, is_integer
 
 _SQRT2 = np.sqrt(2.0)
 _BLOCK = 32   # output samples per Toeplitz block product of MollifiedPath
@@ -118,6 +118,8 @@ class NoisePath:
                 raise ValueError(f"{name}={value} is not finite")
         if dt <= 0 or horizon < dt:
             raise ValueError("need dt > 0 and horizon >= dt")
+        if not (is_integer(seed) and 0 <= seed < 2**63):
+            raise ValueError(f"seed={seed!r} is not an integer in [0, 2**63)")
         self.spec = spec
         self.dt = float(dt)
         self.seed = int(seed)
@@ -152,11 +154,8 @@ class NoisePath:
         return f
 
     def _sample_index(self, i: int) -> int:
-        """``i`` if it indexes a sample t_0..t_{n_steps}, else ValueError:
-        numpy would wrap a negative index to a sample from the end."""
-        if not 0 <= i <= self.n_steps:
-            raise ValueError(f"sample index {i} outside 0..{self.n_steps}")
-        return i
+        """``i`` if it indexes a sample t_0..t_{n_steps}, else ValueError."""
+        return checked_index("sample index", i, self.n_steps + 1)
 
     def field_at(self, i: int, grid: GridSpec) -> SpectralField:
         """B(t_i) as a spectral field."""

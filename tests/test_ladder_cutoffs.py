@@ -158,6 +158,17 @@ class TestChi:
         assert dmax < 20.0 / self.tau
         assert dmax > 1.0 / self.tau
 
+    # unchecked, window 7 of a 3-window family gives the inverted span
+    # (0.6, 0.2) and window -1 the span (0, 0.0333)
+    @pytest.mark.parametrize("i", [-1, 3, 7, 1.0])
+    def test_window_span_rejects_window_off_the_family(self, i):
+        chi = ChiFamily(0.1, np.arange(25) * 0.1 / 12)
+        assert chi.n_windows == 3
+        assert chi.window_span(2, 0.2) == pytest.approx((0.1, 0.2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"window index {i!r} outside 0..2")):
+            chi.window_span(i, 0.2)
+
 
 def _chi_window_loop(tau, times):
     """Reference for ChiFamily: values and derivatives one window at a time,
@@ -327,18 +338,30 @@ class TestEta:
         assert np.max(np.abs(fd - exact)) < 1e-7 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("name, value", [
-        ("eps_moll", 0.0), ("eps_moll", -0.01), ("eps_moll", np.nan),
-        ("eps_moll", np.inf), ("eps_tilt", 0.0), ("eps_tilt", 1.0 / 3.0),
-        ("eps_tilt", 0.6), ("eps_tilt", np.nan), ("n_x1", 0), ("n_x1", -1),
-        ("n_x1", 2.5)])
-    def test_rejects_parameter_out_of_range(self, name, value, monkeypatch):
-        kw = {"n_x1": 16}
-        if name == "n_x1":
-            kw[name] = value
-        else:   # eps_tilt and eps_moll are module constants, read each build
-            monkeypatch.setattr(cutoffs, f"_{name.upper()}", value)
+        ("n_x1", 0), ("n_x1", -1), ("n_x1", 2.5), ("n_x1", True)])
+    def test_rejects_parameter_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=name):
-            EtaFamily(self.tau, self.times, **kw)
+            EtaFamily(self.tau, self.times, **{name: value})
+
+    def test_shape_constants_in_range(self):
+        # builds read them unchecked: the slabs need 0 < eps_tilt < 1/3 to
+        # stay disjoint, the mollifier a positive finite width
+        assert 0.0 < cutoffs._EPS_TILT < 1.0 / 3.0
+        assert 0.0 < cutoffs._EPS_MOLL < np.inf
+
+    # unchecked, numpy wraps a negative window or time to one from the end
+    @pytest.mark.parametrize("i, t_idx, name", [
+        (-1, 40, "window index -1 outside 0..2"),
+        (3, 40, "window index 3 outside 0..2"),
+        (1, -1, "time index -1 outside 0..112"),
+        (1, 113, "time index 113 outside 0..112"),
+        (1, 40.0, "time index 40.0 outside")])
+    def test_rejects_index_off_the_family(self, i, t_idx, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            self.eta.on_grid(i, t_idx, 64)
+        if i == 1:
+            with pytest.raises(ValueError, match=re.escape(name)):
+                self.eta.sum_int_sq(t_idx)
 
 
 def _eta_window_loop(eta):

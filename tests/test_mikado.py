@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from cilab import GridSpec
 from cilab.fields import SYM_INDEX, c0_norm, differential, to_grid, zeros
 from cilab.mikado import (
-    CertificationError, _profile_modes, build_direction_family,
+    _DENOMINATOR, DirectionFamily, _profile_modes, build_direction_family,
     build_family_flows, build_mikado, decomposition_coefficients,
     gamma_coefficients, second_moment, spanning_second_moment,
     support_overlap,
@@ -18,9 +19,13 @@ GRID = GridSpec(64)
 
 
 def _profile_modes_loop(family, row, lam, grid):
-    """Reference for ``_profile_modes``: one (m1, m2) at a time, m1-major."""
-    ka = lam * family.n_star * family.frame_a[row]
-    kb = lam * family.frame_b[row]
+    """Reference for ``_profile_modes``: one (m1, m2) at a time, m1-major,
+    on K_A = n_star A and K_B = n_star xi x A for the first zero slot A."""
+    numer = family.numerators[row]
+    axis = np.zeros(3, dtype=int)
+    axis[[i for i in range(3) if numer[i] == 0][0]] = 1
+    ka = lam * _DENOMINATOR * axis
+    kb = lam * np.cross(numer, axis)
     keep = grid.nyquist - grid.n // 8
     mmax = int(keep // min(np.max(np.abs(ka)), np.max(np.abs(kb))) + 1)
     ks, ms = [], []
@@ -41,6 +46,8 @@ def random_ball_matrix(rng, radius=0.5):
 
 
 class TestDirectionFamily:
+    """The frozen tables, certified here once rather than at each build."""
+
     def test_families_disjoint(self):
         s0 = {tuple(r) for r in FAM0.numerators}
         s1 = {tuple(r) for r in FAM1.numerators}
@@ -49,12 +56,44 @@ class TestDirectionFamily:
 
     def test_frames_integer(self):
         for fam in (FAM0, FAM1):
-            assert np.all(fam.numerators == np.asarray(fam.numerators, int))
+            assert fam.numerators.dtype.kind == "i"
             for row in range(6):
                 xi = fam.numerators[row]
-                assert int(xi @ xi) == fam.n_star ** 2
+                assert int(xi @ xi) == _DENOMINATOR ** 2
                 # n_star * xi is trivially integer; check minimality
                 assert np.gcd.reduce(np.abs(xi[xi != 0])) == 1
+
+    def test_every_numerator_has_a_zero_component(self):
+        # the pipe lattice's axis A_xi is the coordinate axis at that slot,
+        # with A_xi . xi = 0 and |xi x A_xi| = 1
+        for fam in (FAM0, FAM1):
+            for xi in fam.numerators:
+                assert np.count_nonzero(xi == 0) >= 1
+                axis = np.eye(3, dtype=int)[np.argmax(xi == 0)]
+                assert int(axis @ xi) == 0
+                b = np.cross(xi, axis)
+                assert int(b @ b) == _DENOMINATOR ** 2
+
+    def test_gram_matrix_invertible(self):
+        for fam in (FAM0, FAM1):
+            d = fam.directions()
+            gram = np.stack([d[:, i] * d[:, j] for (i, j) in SYM_INDEX])
+            assert abs(np.linalg.det(gram)) > 1e-3
+            assert np.max(np.abs(gram @ fam.gram_inv - np.eye(6))) < 1e-13
+
+    def test_a_read_only_value_keyed_by_index(self):
+        for index, fam in enumerate((FAM0, FAM1)):
+            again = build_direction_family(index)
+            assert again == fam and hash(again) == hash(fam)
+            assert again == DirectionFamily(index) != (FAM0, FAM1)[1 - index]
+            for name in ("numerators", "shifts", "gram_inv",
+                         "id_coefficients", "dual_norms"):
+                arr = getattr(fam, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+            with pytest.raises(AttributeError):
+                fam.index = 1 - index
 
     def test_id_coefficients_positive_with_margin(self):
         for fam in (FAM0, FAM1):
@@ -70,6 +109,10 @@ class TestDirectionFamily:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             build_direction_family(2)
+        # True and 0.0 compare equal to 1 and 0 but are not indices
+        for index in (-1, True, 0.0):
+            with pytest.raises(ValueError, match="family index"):
+                build_direction_family(index)
 
 
 class TestCertifiedRadius:
@@ -171,6 +214,28 @@ class TestGamma:
         with pytest.raises(ValueError, match="ball"):
             gamma_coefficients(np.eye(3) + 0.6 * np.diag([1, -1, 0]), FAM0)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_outside_the_certified_ball(self, index):
+        # |R - Id|_F = 0.49 along the direction of the least radius: inside
+        # the 1/2 ball that gamma accepts, past r* = 0.4631, where the
+        # coefficient is -2.902e-02
+        fam = (FAM0, FAM1)[index]
+        m = TestCertifiedRadius.dual_matrices(fam)
+        norms = np.sqrt(np.sum(m**2, axis=(1, 2)))
+        i_star = int(np.argmin(fam.id_coefficients / norms))
+        R = np.eye(3) - 0.49 * m[i_star] / norms[i_star]
+        assert np.min(decomposition_coefficients(R, fam)) == pytest.approx(
+            -2.902e-02, abs=1e-5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"family {index}: decomposition coefficient -2.902e-02 <= 0 "
+                "at |R - Id|_F = 0.4900, outside the certified ball of "
+                "radius 0.4631")):
+            gamma_coefficients(R, fam)
+        # the same point among certified ones in a field of matrices
+        field = np.stack([np.eye(3), R, np.eye(3)], axis=-1)
+        with pytest.raises(ValueError, match=r"\|R - Id\|_F = 0\.4900"):
+            gamma_coefficients(field, fam)
+
     # unchecked, both ball tests are False for NaN and gamma comes out NaN
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_R_not_finite(self, bad):
@@ -225,7 +290,7 @@ class TestMikadoFlow:
 
     def test_laplacian_relation(self):
         flow = build_mikado(3, 2, FAM0, GRID)
-        nl = FAM0.n_star * flow.lam
+        nl = _DENOMINATOR * flow.lam
         lap = differential(differential(flow.Psi, "grad"), "div")
         resid = c0_norm(-1.0 * lap - (nl**2) * flow.phi)
         assert resid < 1e-10 * nl**2 * c0_norm(flow.phi)
@@ -271,14 +336,14 @@ class TestMikadoFlow:
         assert max(w_vals) / min(w_vals) < 1.2
         assert max(lv_vals) / min(lv_vals) < 1.2
         ratio = w_vals[0] / lv_vals[0]
-        assert ratio > 2 * np.pi * FAM0.n_star * 0.9  # provable lower bound
+        assert ratio > 2 * np.pi * _DENOMINATOR * 0.9  # provable lower bound
 
     @pytest.mark.parametrize("row,lam,n", [(0, 1, 32), (4, 2, 32),
                                            (5, 3, 64)])
     def test_coefficients_match_set_mode_loop(self, row, lam, n):
         g = GridSpec(n)
         flow = build_mikado(row, lam, FAM1, g)
-        nl = FAM1.n_star * lam
+        nl = _DENOMINATOR * lam
         ref = {name: zeros(g, rank) for name, rank in
                (("phi", "scalar"), ("Psi", "scalar"), ("W", "vector3"),
                 ("V", "vector3"))}
@@ -325,11 +390,18 @@ class TestMikadoFlow:
         with pytest.raises(ValueError, match="unresolvable"):
             build_mikado(0, 16, FAM0, GridSpec(32))
 
-    # unchecked, row -1 builds row 5's pipe and row 6 raises IndexError
-    @pytest.mark.parametrize("row", [-1, 6, 2.0])
+    # unchecked, row -1 builds row 5's pipe, row 6 raises IndexError and
+    # row True fails to broadcast
+    @pytest.mark.parametrize("row", [-1, 6, 2.0, True])
     def test_rejects_row_outside_the_family(self, row):
         with pytest.raises(ValueError, match="row"):
             build_mikado(row, 2, FAM0, GRID)
+
+    # unchecked, lam=True builds the lambda = 1 pipe
+    @pytest.mark.parametrize("lam", [0, -2, 1.5, 2.0, True])
+    def test_rejects_lambda_not_a_positive_integer(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"lambda={lam!r} ")):
+            build_mikado(0, lam, FAM0, GridSpec(32))
 
     def test_spanning_second_moment(self):
         rng = np.random.default_rng(11)

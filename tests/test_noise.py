@@ -161,6 +161,20 @@ class TestSamplePath:
         with pytest.raises(ValueError, match=f"^{name}=.* not finite"):
             sample_path(SPEC, dt, horizon, seed=1)
 
+    # unchecked, 1.5, True and "3" give the paths of seeds 1, 1 and 3; -1
+    # and 2**64 - 1 draw through an invalid cast; 2**64 overflows
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, 2**64 - 1, 2**64])
+    def test_rejects_seed_not_a_key(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed={seed!r} ")):
+            sample_path(SPEC, 0.05, 0.2, seed=seed)
+
+    def test_accepts_integer_seeds_below_2_63(self):
+        top = sample_path(SPEC, 0.05, 0.2, seed=2**63 - 1)
+        assert top.seed == 2**63 - 1 and np.all(np.isfinite(top.beta))
+        for seed in (np.int64(3), np.uint64(3)):
+            assert np.array_equal(sample_path(SPEC, 0.05, 0.2, seed).beta,
+                                  sample_path(SPEC, 0.05, 0.2, 3).beta)
+
 
 class TestSampleIndex:
     """An index off 0..n_steps raises, at either end: numpy would wrap a
