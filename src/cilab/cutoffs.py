@@ -13,9 +13,9 @@ smooth, with the closed-form time derivative that ``smoothstep_deriv``
 gives.
 
 The package's one bump kernel (``bump``) and one smooth step
-(``smoothstep``) live here too.  Tier-1 certifies the shape constants
-once, ``_EPS_TILT`` in (0, 1/3) and ``_EPS_MOLL`` positive and finite;
-builds read them unchecked.
+(``smoothstep``) live here too.  Each ``EtaFamily`` build reads and
+checks the shape constants, ``_EPS_TILT`` in (0, 1/3) and ``_EPS_MOLL``
+positive and finite, and tier-1 asserts that they hold.
 """
 
 from dataclasses import dataclass, field
@@ -169,6 +169,10 @@ class EtaFamily:
         window_count(self.tau, horizon)   # rejects the same tau as ChiFamily
         if not (is_integer(self.n_x1) and self.n_x1 >= 1):
             raise ValueError(f"n_x1={self.n_x1!r} is not an integer >= 1")
+        if not 0.0 < _EPS_MOLL < np.inf:   # read at each build
+            raise ValueError(f"eps_moll={_EPS_MOLL} is not positive and finite")
+        if not 0.0 < _EPS_TILT < 1.0 / 3.0:
+            raise ValueError(f"eps_tilt={_EPS_TILT} is not in (0, 1/3)")
         self.n_windows = int(np.floor(horizon / self.tau)) + 1
         x1 = np.arange(self.n_x1) / self.n_x1
         tilt = 2.0 * _EPS_TILT * self.tau / 3.0

@@ -338,14 +338,22 @@ class TestEta:
         assert np.max(np.abs(fd - exact)) < 1e-7 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("name, value", [
-        ("n_x1", 0), ("n_x1", -1), ("n_x1", 2.5), ("n_x1", True)])
-    def test_rejects_parameter_out_of_range(self, name, value):
+        ("eps_moll", 0.0), ("eps_moll", -0.01), ("eps_moll", np.nan),
+        ("eps_moll", np.inf), ("eps_tilt", 0.0), ("eps_tilt", 1.0 / 3.0),
+        ("eps_tilt", 0.6), ("eps_tilt", np.nan), ("n_x1", 0), ("n_x1", -1),
+        ("n_x1", 2.5), ("n_x1", True)])
+    def test_rejects_parameter_out_of_range(self, name, value, monkeypatch):
+        kw = {"n_x1": 16}
+        if name == "n_x1":
+            kw[name] = value
+        else:   # eps_tilt and eps_moll are module constants, read each build
+            monkeypatch.setattr(cutoffs, f"_{name.upper()}", value)
         with pytest.raises(ValueError, match=name):
-            EtaFamily(self.tau, self.times, **{name: value})
+            EtaFamily(self.tau, self.times, **kw)
 
     def test_shape_constants_in_range(self):
-        # builds read them unchecked: the slabs need 0 < eps_tilt < 1/3 to
-        # stay disjoint, the mollifier a positive finite width
+        # the slabs need 0 < eps_tilt < 1/3 to stay disjoint, the mollifier
+        # a positive finite width
         assert 0.0 < cutoffs._EPS_TILT < 1.0 / 3.0
         assert 0.0 < cutoffs._EPS_MOLL < np.inf
 
